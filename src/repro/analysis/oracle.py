@@ -15,6 +15,10 @@ module makes that query cheap at every batch size:
 * **LRU row cache** — one-to-all rows are memoised (bounded), so repeated
   queries against the same destinations (the routing pattern of dilation
   and congestion checks) cost one lookup.
+* **Table-free tree routing** — on tree topologies
+  (``Topology.is_tree``) :meth:`DistanceOracle.next_hops` routes by
+  preorder intervals in O(n) memory; other hosts gather from dense
+  ``(n, n)`` next-hop tables.
 * **Closed forms, vectorised** — topologies with arithmetic distance
   formulas (X-tree, hypercube, grid, complete binary tree — see
   ``Topology.has_closed_form_distance``) bypass BFS entirely;
@@ -124,6 +128,93 @@ def _cbt_pairs(ai: np.ndarray, bi: np.ndarray) -> np.ndarray:
     return (lu - level) + (lv - level) + 2 * exp.astype(np.int64)
 
 
+class _TreeRoutes:
+    """Table-free routing on a tree by preorder (Euler) intervals.
+
+    With ``tin``/``tout`` the first and last preorder positions of a
+    node's subtree, ``d`` lies below ``u`` iff ``tin[u] < tin[d] <=
+    tout[u]``.  Then the next hop from ``u`` towards ``d`` is the child of
+    ``u`` whose interval holds ``tin[d]``; otherwise it is ``u``'s parent.
+    The path is unique, so this is exactly the smallest-index
+    shortest-path hop the dense tables would give.  Everything is O(n),
+    built in one depth-first pass over the CSR adjacency.
+    """
+
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray):
+        n = indptr.size - 1
+        if indices.size != 2 * (n - 1):
+            raise ValueError(
+                f"a tree on {n} nodes has {n - 1} links, got {indices.size // 2}"
+            )
+        ip = indptr.tolist()
+        nb = indices.tolist()
+        parent = [-1] * n
+        up = [-1] * n  # CSR slot of the link  v -> parent[v]
+        down = [-1] * n  # CSR slot of the link  parent[v] -> v
+        tin = [-1] * n
+        order: list[int] = []
+        stack = [0]
+        while stack:
+            u = stack.pop()
+            tin[u] = len(order)
+            order.append(u)
+            for slot in range(ip[u + 1] - 1, ip[u] - 1, -1):
+                v = nb[slot]
+                if v == parent[u]:
+                    up[u] = slot
+                    continue
+                if tin[v] >= 0 or parent[v] >= 0:
+                    raise ValueError("topology flagged is_tree has a cycle")
+                parent[v] = u
+                down[v] = slot
+                stack.append(v)
+        if len(order) != n:
+            raise ValueError("topology flagged is_tree is not connected")
+        size = [1] * n
+        for v in reversed(order[1:]):
+            size[parent[v]] += size[v]
+        tout = [tin[v] + size[v] - 1 for v in range(n)]
+        kids: list[list[int]] = [[] for _ in range(n)]
+        for v in order[1:]:
+            kids[parent[v]].append(v)
+        # Python lists for the scalar hop, int64 arrays for the batch one
+        self.tin, self.tout, self.parent, self.kids = tin, tout, parent, kids
+        self.n = n
+        self._tin, self._tout, self._parent, self._up, self._down, child = (
+            np.asarray(xs, dtype=np.int64)
+            for xs in (tin, tout, parent, up, down, order[1:])
+        )
+        # every non-root node keyed by (parent, tin): the child of ``u``
+        # holding ``d`` is the last key <= (u, tin[d])
+        key = self._parent[child] * n + self._tin[child]
+        ranked = np.argsort(key)
+        self._child, self._child_key = child[ranked], key[ranked]
+
+    def hops(self, cur: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        td = self._tin[dst]
+        below = (self._tin[cur] < td) & (td <= self._tout[cur])
+        if self._child.size:
+            pick = np.searchsorted(self._child_key, cur * self.n + td, side="right") - 1
+            hop = np.where(below, self._child[pick], self._parent[cur])
+        else:
+            hop = self._parent[cur]
+        edge = np.where(below, self._down[hop], self._up[cur])
+        home = cur == dst
+        hop[home] = -1
+        edge[home] = -1
+        return hop, edge
+
+    def hop(self, u: int, d: int) -> int:
+        if u == d:
+            return -1
+        td = self.tin[d]
+        if self.tin[u] < td <= self.tout[u]:
+            for c in self.kids[u]:
+                if td <= self.tout[c]:
+                    return c
+        return self.parent[u]
+
+
 class DistanceOracle:
     """O(1)-amortised hop distances over one :class:`Topology`.
 
@@ -132,20 +223,36 @@ class DistanceOracle:
     (``Topology.index``); label-level conveniences convert at the edge.
     """
 
-    def __init__(self, topology: Topology, row_cache_size: int | None = None):
+    def __init__(
+        self,
+        topology: Topology,
+        row_cache_size: int | None = None,
+        *,
+        weak: bool = False,
+    ):
         row_cache_size = resolve_oracle_cache(row_cache_size)
-        self.topology = topology
+        # ``weak=True`` (used by :func:`oracle_for`) keeps only a weak
+        # reference, so a memoised oracle never keeps its topology alive
+        self._topology = weakref.ref(topology) if weak else lambda: topology
         self.n = topology.n_nodes
         self._labels: list[Any] = list(topology.nodes())
+        #: label -> canonical index; ``nodes()`` yields labels in index
+        #: order, and a dict lookup beats ``topology.index`` at volume
+        self._index_of: dict[Any, int] = {
+            label: i for i, label in enumerate(self._labels)
+        }
+        index_of = self._index_of
         indptr = np.zeros(self.n + 1, dtype=np.int32)
         flat: list[int] = []
-        for u in self._labels:
-            flat.extend(topology.index(v) for v in topology.neighbors(u))
-            indptr[topology.index(u) + 1] = len(flat)
+        for i, u in enumerate(self._labels):
+            flat.extend(index_of[v] for v in topology.neighbors(u))
+            indptr[i + 1] = len(flat)
         #: CSR adjacency: neighbours of node ``i`` are
         #: ``indices[indptr[i]:indptr[i+1]]``.
         self.indptr = indptr
         self.indices = np.asarray(flat, dtype=np.int32)
+        #: interval routing for tree topologies (``None`` otherwise)
+        self._tree = _TreeRoutes(indptr, self.indices) if topology.is_tree else None
         self._row_cache: OrderedDict[int, np.ndarray] = OrderedDict()
         self._row_cache_size = row_cache_size
         self._closed_form = topology.has_closed_form_distance
@@ -159,6 +266,14 @@ class DistanceOracle:
         #: process-wide ``repro.obs`` counters ``oracle.row_cache.*``)
         self.row_cache_hits = 0
         self.row_cache_misses = 0
+
+    @property
+    def topology(self) -> Topology:
+        """The topology this oracle answers for."""
+        topology = self._topology()
+        if topology is None:
+            raise ReferenceError("the oracle's topology has been garbage-collected")
+        return topology
 
     # ------------------------------------------------------------------
     # BFS engines
@@ -342,8 +457,38 @@ class DistanceOracle:
         return out
 
     # ------------------------------------------------------------------
-    # Dense routing tables
+    # Routing
     # ------------------------------------------------------------------
+    def next_hops(
+        self, cur: np.ndarray, dst: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Batch fault-free routing: ``(hop, edge_id)`` per ``(cur, dst)`` pair.
+
+        ``hop`` is the smallest-index shortest-path next hop and
+        ``edge_id`` the directed-edge identifier of the link ``(cur, hop)``
+        (its CSR slot), both int64 and ``-1`` where ``cur == dst`` or
+        ``dst`` is unreachable.  Tree topologies answer from preorder
+        intervals in O(n) memory; every other topology gathers from the
+        dense tables of :meth:`next_hop_tables`.  This is the only routing
+        call of the vectorised kernel (:mod:`repro.simulate.vector_engine`).
+        """
+        cur = np.asarray(cur, dtype=np.int64)
+        dst = np.asarray(dst, dtype=np.int64)
+        if self._tree is not None:
+            return self._tree.hops(cur, dst)
+        nh, eid = self.next_hop_tables()
+        flat = cur * self.n + dst
+        return nh.ravel()[flat].astype(np.int64), eid.ravel()[flat].astype(np.int64)
+
+    def next_hop(self, u: int, d: int) -> int:
+        """Scalar twin of :meth:`next_hops` (hop only) for the classic
+        engine's per-message routing; ``-1`` where there is no hop."""
+        if self._tree is not None:
+            return self._tree.hop(u, d)
+        if self._next_hop is None:
+            self._build_next_hop_tables()
+        return self._next_hop.item(u, d)
+
     def next_hop_matrix(self) -> np.ndarray:
         """Dense deterministic routing table ``NH[u, d]`` over the fault-free
         topology, as an ``(n, n)`` int32 matrix of canonical indices.
@@ -357,9 +502,9 @@ class DistanceOracle:
         or ``d`` unreachable) hold ``-1``.
 
         Built once from :meth:`all_pairs` and memoised for the oracle's
-        lifetime, like the LRU row cache but a single object: both the
-        classic engine's per-hop routing and the vectorised kernel
-        (:mod:`repro.simulate.vector_engine`) gather from the same matrix.
+        lifetime, like the LRU row cache but a single object: both
+        :meth:`next_hop` and :meth:`next_hops` gather from the same matrix
+        on every topology that is not a tree.
         """
         if self._next_hop is None:
             self._build_next_hop_tables()
@@ -444,10 +589,11 @@ def oracle_for(topology: Topology) -> DistanceOracle:
     """The memoised :class:`DistanceOracle` for a live topology object.
 
     Keyed weakly by object identity: call sites share CSR builds and row
-    caches while the topology lives, and the oracle dies with it.
+    caches while the topology lives, and the oracle dies with it (it holds
+    its topology only weakly, so the memo entry cannot pin its own key).
     """
     oracle = _ORACLES.get(topology)
     if oracle is None:
-        oracle = DistanceOracle(topology)
+        oracle = DistanceOracle(topology, weak=True)
         _ORACLES[topology] = oracle
     return oracle

@@ -11,6 +11,7 @@ from .binary_tree_net import CompleteBinaryTreeNet
 from .butterfly import Butterfly
 from .ccc import CubeConnectedCycles
 from .grid import Grid2D
+from .guest_tree import GuestTreeNet
 from .hypercube import Hypercube, hamming_distance
 from .shuffle import DeBruijn, ShuffleExchange
 from .universal import UniversalGraph, universal_graph_size
@@ -76,6 +77,7 @@ __all__ = [
     "Hypercube",
     "hamming_distance",
     "CompleteBinaryTreeNet",
+    "GuestTreeNet",
     "CubeConnectedCycles",
     "Butterfly",
     "Grid2D",

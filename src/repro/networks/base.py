@@ -79,6 +79,11 @@ class Topology(ABC):
     #: short machine-readable identifier, e.g. ``"xtree"``
     name: str = "topology"
 
+    #: True when the network is a tree (one path between any two nodes).
+    #: The :class:`~repro.analysis.oracle.DistanceOracle` then routes it by
+    #: preorder intervals instead of dense O(n²) next-hop tables.
+    is_tree: bool = False
+
     # ------------------------------------------------------------------
     # Core abstract surface
     # ------------------------------------------------------------------

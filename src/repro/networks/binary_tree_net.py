@@ -23,6 +23,7 @@ class CompleteBinaryTreeNet(Topology):
     """The complete binary tree of height ``r`` with X-tree style addresses."""
 
     name = "complete-binary-tree"
+    is_tree = True
 
     def __init__(self, height: int):
         if height < 0:

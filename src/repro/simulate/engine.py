@@ -225,10 +225,12 @@ class SynchronousNetwork:
         #: per-link corruption EWMA driving quarantine decisions
         self.corruption_ewma: dict[frozenset, float] = {}
         self._dist_to: dict[Node, dict[Node, int]] = {}
-        #: dense next-hop tables from the DistanceOracle, fetched lazily for
-        #: the fault-free classic path; ``False`` marks "topology too large"
+        #: the DistanceOracle's scalar router (``oracle.next_hop``), fetched
+        #: lazily for the fault-free classic path; ``False`` marks "dense
+        #: tables needed but the topology is too large"
         self._dense_nh = None
         self._dense_labels: list[Node] | None = None
+        self._dense_index: dict[Node, int] = {}
         #: True while deliver_scheduled runs — bare fail/heal calls are then
         #: rejected (use a FaultSchedule for mid-delivery faults)
         self._delivering = False
@@ -528,21 +530,25 @@ class SynchronousNetwork:
         return table
 
     def _dense_next_hop(self):
-        """Lazily fetch the oracle's dense next-hop matrix (fault-free only).
+        """Lazily fetch the oracle's scalar router (fault-free only).
 
-        Returns the ``(n, n)`` int32 matrix, or ``False`` when the topology
-        exceeds :attr:`vector_max_nodes` and the O(n^2) table is not worth
-        building.
+        Returns ``oracle.next_hop`` — interval routing on a tree, a dense
+        table gather otherwise — or ``False`` when the topology needs dense
+        tables and exceeds :attr:`vector_max_nodes`, so the O(n^2) tables
+        are not worth building.
         """
         nh = self._dense_nh
         if nh is None:
-            if self.topology.n_nodes > self.vector_max_nodes:
+            topo = self.topology
+            if not topo.is_tree and topo.n_nodes > self.vector_max_nodes:
                 nh = self._dense_nh = False
             else:
                 from ..analysis.oracle import oracle_for
 
-                nh = self._dense_nh = oracle_for(self.topology).next_hop_matrix()
-                self._dense_labels = list(self.topology.nodes())
+                oracle = oracle_for(topo)
+                nh = self._dense_nh = oracle.next_hop
+                self._dense_labels = oracle._labels
+                self._dense_index = oracle._index_of
         return nh
 
     def next_hop(self, node: Node, dst: Node) -> Node:
@@ -550,13 +556,18 @@ class SynchronousNetwork:
         if node == dst:
             raise ValueError("message already at destination")
         if not self.failed:
-            # fault-free: one gather from the oracle's dense table replaces
-            # the per-call neighbour scan (same smallest-index tie-break,
-            # property-tested equal in tests/test_vector_engine.py)
+            # fault-free: the oracle's router (tree intervals or one dense
+            # table gather) replaces the per-call neighbour scan (same
+            # smallest-index tie-break, property-tested equal in
+            # tests/test_vector_engine.py)
             nh = self._dense_next_hop()
             if nh is not False:
-                topo = self.topology
-                hop = nh[topo.index(node), topo.index(dst)]
+                index = self._dense_index
+                try:
+                    hop = nh(index[node], index[dst])
+                except KeyError:  # not a label: let the topology raise
+                    topo = self.topology
+                    hop = nh(topo.index(node), topo.index(dst))
                 if hop >= 0:
                     return self._dense_labels[hop]
                 raise UnreachableError(

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..core.embedding import Embedding
+from ..networks.guest_tree import GuestTreeNet
 from ..obs import Recorder, span
 from .engine import DeliveryStats, Message, SynchronousNetwork
 from .faults import DegradedResult, FaultReport, FaultSchedule
@@ -200,39 +201,14 @@ def simulate_on_guest(
 ) -> ExecutionStats:
     """Execute the program on the guest tree itself (the reference machine).
 
-    Uses the tree as its own host network via the identity embedding; for
+    Uses the tree as its own host network
+    (:class:`~repro.networks.GuestTreeNet`) via the identity embedding; for
     the edge-confined workloads this reproduces ``ideal_cycles`` exactly and
-    for routed workloads (leaf gossip) it gives the honest baseline.
+    for routed workloads (leaf gossip) it gives the honest baseline.  The
+    tree routes by preorder intervals, so no size needs dense tables and
+    its node count never keeps it off the vectorised kernel.
     """
-    from ..networks.base import Topology
-
-    class _TreeNet(Topology):
-        name = "guest-tree"
-
-        def __init__(self, tree):
-            self.tree = tree
-
-        @property
-        def n_nodes(self):
-            return self.tree.n
-
-        def nodes(self):
-            return iter(range(self.tree.n))
-
-        def neighbors(self, node):
-            return self.tree.neighbors(node)
-
-        def index(self, node):
-            if not 0 <= node < self.tree.n:
-                raise ValueError(f"{node} not a guest node")
-            return node
-
-        def node_at(self, idx):
-            if not 0 <= idx < self.tree.n:
-                raise IndexError(idx)
-            return idx
-
-    host = _TreeNet(program.tree)
+    host = GuestTreeNet(program.tree)
     identity = Embedding(program.tree, host, {v: v for v in program.tree.nodes()})
     return simulate_on_host(
         program,

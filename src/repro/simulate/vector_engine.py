@@ -11,9 +11,12 @@ cost.  This module re-states the same semantics over flat numpy arrays:
 * **message state** lives in parallel arrays — current node, destination,
   FIFO ordering key, injection cycle, delivery cycle — indexed by a dense
   message slot;
-* **routing** is one gather from the dense next-hop / edge-id matrices the
-  :class:`~repro.analysis.oracle.DistanceOracle` builds once per topology
-  (smallest-index tie-break, so routes match
+* **routing** is one batch call,
+  :meth:`~repro.analysis.oracle.DistanceOracle.next_hops`, returning each
+  message's next hop and the directed-edge id of its link.  Tree
+  topologies answer from preorder intervals in O(n); every other host
+  gathers from the dense next-hop / edge-id matrices the oracle builds
+  once per topology (smallest-index tie-break, so routes match
   :class:`~repro.simulate.routing.ShortestPathRouter` exactly);
 * **contention** is one sort per cycle: messages order by
   ``(directed link, queue key)`` and the first ``link_capacity`` of each
@@ -31,9 +34,10 @@ max queue — gated by the Hypothesis parity suite
 
 The kernel covers the engine's *fast-path preconditions* only (checked by
 :func:`vector_supported`): deterministic routing, no recorder listening,
-no faults/TTL, no failed or slowed links, and a topology small enough for
-the dense tables.  Everything else falls back to the classic loop, which
-remains the reference implementation.
+no faults/TTL, no failed or slowed links, and either a tree topology or
+one small enough for the dense tables (:data:`VECTOR_MAX_NODES`).
+Everything else falls back to the classic loop, which remains the
+reference implementation.
 """
 
 from __future__ import annotations
@@ -58,6 +62,7 @@ __all__ = [
 
 #: dense next-hop tables cost O(n^2) int32 each; beyond this the classic
 #: per-destination BFS tables are the better trade (and the kernel defers).
+#: Tree topologies route by intervals and are never bounded.
 #: Large hosts can opt in anyway: pass ``vector_max_nodes=`` to
 #: :class:`~repro.simulate.engine.SynchronousNetwork` (or
 #: :class:`~repro.runtime.Runtime`), or set :data:`VECTOR_MAX_NODES_ENV`.
@@ -123,7 +128,7 @@ def vector_supported(network: "SynchronousNetwork", rec, faults, ttl) -> str | N
     if network.quarantined:
         blockers.append("links are quarantined")
     limit = network.vector_max_nodes
-    if network.topology.n_nodes > limit:
+    if not network.topology.is_tree and network.topology.n_nodes > limit:
         blockers.append(
             f"topology has {network.topology.n_nodes} nodes "
             f"(> VECTOR_MAX_NODES = {limit}; raise via "
@@ -132,17 +137,6 @@ def vector_supported(network: "SynchronousNetwork", rec, faults, ttl) -> str | N
     if not blockers:
         return None
     return "; ".join(blockers)
-
-
-def _index_of(network: "SynchronousNetwork") -> dict:
-    """Label -> canonical index, memoised on the network (dict lookups beat
-    per-message ``topology.index`` calls at schedule-parse volume)."""
-    cache = getattr(network, "_vector_index_of", None)
-    if cache is None:
-        topo = network.topology
-        cache = {label: i for i, label in enumerate(topo.nodes())}
-        network._vector_index_of = cache
-    return cache
 
 
 def vector_deliver_scheduled(
@@ -159,7 +153,8 @@ def vector_deliver_scheduled(
     from .engine import DeliveryStats, UnreachableError
 
     topo = network.topology
-    idx_of = _index_of(network)
+    oracle = oracle_for(topo)
+    idx_of = oracle._index_of
     stats = DeliveryStats(cycles=0, n_messages=len(schedule))
     delivery_cycle = stats.delivery_cycle
     last_self = 0
@@ -191,11 +186,8 @@ def vector_deliver_scheduled(
         stats.cycles = last_self
         return stats
 
-    oracle = oracle_for(topo)
-    nh_mat, eid_mat = oracle.next_hop_tables()
+    next_hops = oracle.next_hops
     n = topo.n_nodes
-    nh_flat = nh_mat.ravel()
-    eid_flat = eid_mat.ravel()
     n_dir = int(oracle.indices.size)
 
     inject_at = np.asarray(inj_list, dtype=np.int64)
@@ -210,8 +202,9 @@ def vector_deliver_scheduled(
     dst = dst[seq]
     # after the permutation, slot i holds the message whose classic seq is
     # seq[i] — that value, not i, is the FIFO tie-break
-    if (nh_flat[src * n + dst] < 0).any():
-        bad = int(np.flatnonzero(nh_flat[src * n + dst] < 0)[0])
+    first_hop, _ = next_hops(src, dst)
+    if (first_hop < 0).any():
+        bad = int(np.flatnonzero(first_hop < 0)[0])
         labels = list(topo.nodes())
         raise UnreachableError(
             f"{labels[int(src[bad])]!r} cannot reach {labels[int(dst[bad])]!r} "
@@ -259,9 +252,7 @@ def vector_deliver_scheduled(
             mq = int(occupancy.max())
             if mq > max_queue:
                 max_queue = mq
-            flat = cu * n + dst[queued]
-            hop = nh_flat[flat].astype(np.int64)
-            edge = eid_flat[flat].astype(np.int64)
+            hop, edge = next_hops(cu, dst[queued])
             if combined:
                 order = np.argsort(edge * edge_stride + qk[queued])
             else:

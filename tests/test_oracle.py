@@ -257,3 +257,16 @@ class TestCacheConfiguration:
         monkeypatch.setenv(ORACLE_CACHE_ENV, "11")
         assert resolve_oracle_cache() == 11
         assert resolve_oracle_cache(2) == 2
+
+
+def test_oracle_for_dies_with_its_topology():
+    import gc
+    import weakref
+
+    topology = XTree(3)
+    oracle = weakref.ref(oracle_for(topology))
+    alive = weakref.ref(topology)
+    del topology
+    gc.collect()
+    assert alive() is None
+    assert oracle() is None
