@@ -57,7 +57,7 @@ class EmbedConfig:
 
     The defaults are the full algorithm; switching a knob off removes one of
     the ingredients so its contribution can be measured
-    (``benchmarks/bench_ablation.py``).
+    (the E12 ablation table of ``benchmarks/experiments.py``).
 
     ``adjust_sigma_filter``
         ADJUST only moves pieces whose characteristic address is the
@@ -81,7 +81,7 @@ class EmbedConfig:
         final-phase spills several-fold but the greedy stealing perturbs
         the carefully damped ADJUST balance, measurably *raising* worst-case
         dilation at depth — hence **off by default**; kept for the ablation
-        study (bench_ablation.py).
+        study (E12 in experiments.py).
     ``n_aware_finalize``
         The final rearrangement prefers free slots inside the ``N``
         relation of the node's anchor before falling back to plain
@@ -642,7 +642,7 @@ class _XTreeEmbedder:
         *minimal* distance an N-related one is preferred — never a farther
         one, so the preference cannot inflate the spill distance (an
         earlier variant that jumped straight to any N-slot let spill chains
-        drift and was measurably worse; see bench_ablation.py).
+        drift and was measurably worse; see E12 in experiments.py).
         """
         state = self.state
         if state.free(start) > 0:

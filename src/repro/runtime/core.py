@@ -45,6 +45,7 @@ from ..networks import TOPOLOGIES
 from ..obs import Recorder
 from ..simulate.engine import Message, SynchronousNetwork
 from ..simulate.faults import FaultEvent, FaultSchedule, repair_embedding
+from ..simulate.integrity import Integrity
 from ..simulate.routing import AdaptiveRouter, Router, make_router
 from .jobs import Job, JobSpec
 from .policies import SchedulerPolicy, make_policy
@@ -145,25 +146,6 @@ def _policy_spec(policy: SchedulerPolicy) -> "str | dict":
     return policy.name
 
 
-def _replay_event(network: SynchronousNetwork, ev: FaultEvent) -> None:
-    """Re-apply one already-applied fault event to a fresh network."""
-    if ev.action == "fail_link":
-        if frozenset((ev.u, ev.v)) not in network.failed:
-            network.fail_link(ev.u, ev.v)
-    elif ev.action == "heal_link":
-        network.restore_link(ev.u, ev.v)
-    elif ev.action == "delay_link":
-        network.delay_link(ev.u, ev.v, ev.delay)
-    elif ev.action == "corrupt_link":
-        network.corrupt_link(ev.u, ev.v, ev.rate, ev.seed)
-    elif ev.action == "flaky_link":
-        network.flaky_link(ev.u, ev.v, ev.rate, ev.seed)
-    elif ev.action == "fail_node":
-        network.fail_node(ev.u)
-    else:
-        network.heal_node(ev.u)
-
-
 class Runtime:
     """A live scheduler multiplexing guest programs on one host network."""
 
@@ -178,17 +160,12 @@ class Runtime:
         max_load: int = 16,
         link_capacity: int = 1,
         engine: str = "auto",
-        vector_max_nodes: int | None = None,
     ):
         if max_load < 1:
             raise ValueError(f"max_load must be >= 1, got {max_load}")
         self.host = host
         self.network = SynchronousNetwork(
-            host,
-            link_capacity=link_capacity,
-            router=router,
-            engine=engine,
-            vector_max_nodes=vector_max_nodes,
+            host, link_capacity=link_capacity, router=router, engine=engine
         )
         self.faults = faults
         self.recorder = recorder
@@ -197,7 +174,6 @@ class Runtime:
         self.max_load = max_load
         self.link_capacity = link_capacity
         self.engine = engine
-        self.vector_max_nodes = vector_max_nodes
         #: named counters — ``batch_fallback.<reason>`` records every round
         #: :meth:`step_batch` degraded to per-job stepping, so service-level
         #: batching regressions are observable instead of just slow
@@ -431,16 +407,13 @@ class Runtime:
         recorder = self.recorder
         if recorder is not None and recorder.enabled:
             recorder.begin_phase(f"{job.spec.name}[{label}]")
-        if self.faults is not None or job.spec.ttl is not None:
-            stats = self.network.deliver_scheduled(
-                [(0, m) for m in messages],
-                recorder=recorder,
-                faults=self.faults,
-                ttl=job.spec.ttl,
-                fault_offset=self.cycle,
-            )
-        else:
-            stats = self.network.deliver(messages, recorder=recorder)
+        stats = self.network.deliver_scheduled(
+            [(0, m) for m in messages],
+            recorder=recorder,
+            faults=self.faults,
+            ttl=job.spec.ttl,
+            fault_offset=self.cycle,
+        )
         base = self.cycle
         self.cycle += stats.cycles
         job.consumed_cycles += stats.cycles
@@ -597,7 +570,6 @@ class Runtime:
             "max_load": self.max_load,
             "link_capacity": self.link_capacity,
             "engine": self.engine,
-            "vector_max_nodes": self.vector_max_nodes,
             "counters": dict(sorted(self.counters.items())),
             "policy": _policy_spec(self.policy),
             "host": _host_spec(self.host),
@@ -607,40 +579,13 @@ class Runtime:
             "dead_nodes": [node_to_json(n) for n in sorted(self.dead_nodes)],
             "jobs": [j.state() for j in self._jobs],
         }
-        integrity = self._integrity_state()
+        integ = self.network.integrity
+        integrity = integ.state() if integ is not None else None
         if integrity is not None:
-            # only stamped when byzantine link state is live, so byzantine-
+            # only stamped when quarantine/EWMA state is live, so byzantine-
             # free checkpoints stay byte-identical to earlier builds
             cp["integrity"] = integrity
         return cp
-
-    def _integrity_state(self) -> dict | None:
-        """JSON-safe snapshot of the network's quarantine/EWMA state.
-
-        Corruption and flaky rates are *not* captured here: they replay
-        exactly from ``applied_events``.  Quarantine membership (with each
-        link's absolute probe-heal cycle) and the corruption EWMA are the
-        two pieces the events cannot reconstruct.  Retransmission backoff
-        state never spans a checkpoint: deliveries are atomic between
-        supersteps, so in-flight retransmits have always resolved by the
-        time a checkpoint can be cut.
-        """
-        net = self.network
-        if not net.quarantined and not net.corruption_ewma:
-            return None
-        index = net.topology.index
-
-        def links(d):
-            rows = sorted(
-                ((sorted(l, key=index), v) for l, v in d.items()),
-                key=lambda kv: (index(kv[0][0]), index(kv[0][1])),
-            )
-            return [[node_to_json(u), node_to_json(v), val] for (u, v), val in rows]
-
-        return {
-            "quarantined": links(net.quarantined),
-            "ewma": links(net.corruption_ewma),
-        }
 
     def checkpoint_json(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.checkpoint(), indent=2) + "\n")
@@ -651,7 +596,10 @@ class Runtime:
 
         ``state`` is what :meth:`checkpoint` returned (parsed JSON is
         fine: node labels round-trip through the list form).  Pass a
-        fresh ``recorder`` to trace the resumed half.
+        fresh ``recorder`` to trace the resumed half.  Keys this build no
+        longer reads are ignored — older checkpoints carry a
+        ``"vector_max_nodes"`` override, which only steered engine
+        dispatch between bit-identical engines.
         """
         version = state.get("version")
         if version != CHECKPOINT_VERSION:
@@ -689,7 +637,6 @@ class Runtime:
             max_load=state["max_load"],
             link_capacity=state["link_capacity"],
             engine=state.get("engine", "auto"),
-            vector_max_nodes=state.get("vector_max_nodes"),
         )
         rt.counters.update(state.get("counters", {}))
         for entry in state["applied_events"]:
@@ -697,20 +644,11 @@ class Runtime:
             # entries are internal state, exempt from the wire-format
             # version gate a bare byzantine event list would trip
             ev = FaultEvent.from_dict(entry)
-            _replay_event(rt.network, ev)
+            rt.network.apply_fault(ev)
             rt.applied_events.append(ev)
         integrity = state.get("integrity")
         if integrity:
-            # quarantined links re-fail first (fail_link cancels any stale
-            # probe entry), then the probe cycles and EWMA overlay on top
-            for u, v, probe in integrity.get("quarantined", ()):
-                u, v = node_from_json(u), node_from_json(v)
-                if frozenset((u, v)) not in rt.network.failed:
-                    rt.network.fail_link(u, v)
-                rt.network.quarantined[frozenset((u, v))] = probe
-            for u, v, ewma in integrity.get("ewma", ()):
-                link = frozenset((node_from_json(u), node_from_json(v)))
-                rt.network.corruption_ewma[link] = ewma
+            Integrity.of(rt.network).load_state(integrity)
         rt.network.router.load_state(rspec["state"])
         rt.cycle = state["cycle"]
         rt.dead_nodes = {node_from_json(n) for n in state["dead_nodes"]}

@@ -8,22 +8,20 @@ into measured slowdown of real tree programs.
 from .compute import simulated_prefix, simulated_reduction
 from .engine import (
     ENGINES,
-    INTEGRITY_MAX_RETRIES,
-    QUARANTINE_EWMA_DECAY,
-    QUARANTINE_PROBE_AFTER,
-    QUARANTINE_THRESHOLD,
-    RETRANSMIT_BACKOFF_CAP,
     DeliveryStats,
     Message,
     SynchronousNetwork,
     UnreachableError,
 )
-from .vector_engine import (
-    VECTOR_MAX_NODES,
-    VECTOR_MAX_NODES_ENV,
-    resolve_vector_max_nodes,
-    vector_supported,
+from .integrity import (
+    INTEGRITY_MAX_RETRIES,
+    QUARANTINE_EWMA_DECAY,
+    QUARANTINE_PROBE_AFTER,
+    QUARANTINE_THRESHOLD,
+    RETRANSMIT_BACKOFF_CAP,
+    Integrity,
 )
+from .vector_engine import VECTOR_MAX_NODES, vector_supported
 from .faults import (
     BYZANTINE_ACTIONS,
     FAULT_SCHEDULE_VERSION,
@@ -60,9 +58,8 @@ __all__ = [
     "QUARANTINE_EWMA_DECAY",
     "QUARANTINE_THRESHOLD",
     "QUARANTINE_PROBE_AFTER",
+    "Integrity",
     "VECTOR_MAX_NODES",
-    "VECTOR_MAX_NODES_ENV",
-    "resolve_vector_max_nodes",
     "vector_supported",
     "FaultEvent",
     "FaultSchedule",

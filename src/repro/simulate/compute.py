@@ -25,9 +25,9 @@ from typing import Any
 
 from ..core.embedding import Embedding
 from ..obs import Recorder, span
-from .engine import Message, SynchronousNetwork
+from .engine import SynchronousNetwork
 from .faults import DegradedResult, FaultReport, FaultSchedule
-from .mapping import _fold_report
+from .mapping import _run_supersteps
 from .programs import broadcast_program, reduction_program
 from .routing import Router
 
@@ -77,37 +77,23 @@ def simulated_reduction(
     network = SynchronousNetwork(
         embedding.host, link_capacity=link_capacity, router=router, engine=engine
     )
-    observing = recorder is not None and recorder.enabled
-    fault_mode = faults is not None or ttl is not None
-    report = FaultReport()
+    report = FaultReport() if faults is not None or ttl is not None else None
     acc: list[Any] = list(values)
     total_cycles = 0
-    program = reduction_program(tree)
     host_name = getattr(embedding.host, "name", type(embedding.host).__name__)
     with span("simulate.reduction", host=host_name, n=tree.n):
-        for k, step in enumerate(program.supersteps):
-            messages = []
-            payloads = {}
-            for mid, (src, dst) in enumerate(step):
-                messages.append(Message(mid, embedding.phi[src], embedding.phi[dst]))
-                payloads[mid] = (dst, acc[src])
-            if observing:
-                recorder.begin_phase(f"{program.name}[{k}]")
-            if fault_mode:
-                stats = network.deliver_scheduled(
-                    [(0, m) for m in messages],
-                    recorder=recorder, faults=faults, ttl=ttl, fault_offset=total_cycles,
-                )
-                _fold_report(report, stats, key=lambda mid, k=k: (k, mid))
-            else:
-                stats = network.deliver(messages, recorder=recorder)
+        for stats, sent in _run_supersteps(
+            network, reduction_program(tree), embedding.phi,
+            recorder=recorder, faults=faults, ttl=ttl, report=report,
+            payload=acc.__getitem__,
+        ):
             total_cycles += stats.cycles
             # arrivals fold into the parent's accumulator (order-independent
             # because the operator is associative-commutative)
             for mid in stats.delivery_cycle:
-                dst, value = payloads[mid]
+                dst, value = sent[mid]
                 acc[dst] = combine(acc[dst], value)
-    if fault_mode:
+    if report is not None:
         return DegradedResult((acc[tree.root], total_cycles), report)
     return acc[tree.root], total_cycles
 
@@ -143,34 +129,20 @@ def simulated_prefix(
     network = SynchronousNetwork(
         embedding.host, link_capacity=link_capacity, router=router, engine=engine
     )
-    observing = recorder is not None and recorder.enabled
-    fault_mode = faults is not None or ttl is not None
-    report = FaultReport()
+    report = FaultReport() if faults is not None or ttl is not None else None
     out: list[Any] = [identity] * tree.n
     total_cycles = 0
-    program = broadcast_program(tree)
     host_name = getattr(embedding.host, "name", type(embedding.host).__name__)
     with span("simulate.prefix", host=host_name, n=tree.n):
-        for k, step in enumerate(program.supersteps):
-            messages = []
-            payloads = {}
-            for mid, (src, dst) in enumerate(step):
-                messages.append(Message(mid, embedding.phi[src], embedding.phi[dst]))
-                payloads[mid] = (dst, combine(out[src], values[src]))
-            if observing:
-                recorder.begin_phase(f"{program.name}[{k}]")
-            if fault_mode:
-                stats = network.deliver_scheduled(
-                    [(0, m) for m in messages],
-                    recorder=recorder, faults=faults, ttl=ttl, fault_offset=total_cycles,
-                )
-                _fold_report(report, stats, key=lambda mid, k=k: (k, mid))
-            else:
-                stats = network.deliver(messages, recorder=recorder)
+        for stats, sent in _run_supersteps(
+            network, broadcast_program(tree), embedding.phi,
+            recorder=recorder, faults=faults, ttl=ttl, report=report,
+            payload=lambda src: combine(out[src], values[src]),
+        ):
             total_cycles += stats.cycles
             for mid in stats.delivery_cycle:
-                dst, value = payloads[mid]
+                dst, value = sent[mid]
                 out[dst] = value
-    if fault_mode:
+    if report is not None:
         return DegradedResult((out, total_cycles), report)
     return out, total_cycles

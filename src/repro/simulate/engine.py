@@ -17,20 +17,17 @@ tied flows by recent load instead, seeded so runs stay reproducible.
 
 from __future__ import annotations
 
-import struct
-import zlib
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field
 from collections.abc import Iterable
-from hashlib import blake2b
 from typing import TYPE_CHECKING, Any, Hashable
 
 from ..networks.base import Topology, bfs_distances_from
 from ..obs import Recorder
+from .integrity import Integrity
 from .routing import Router, make_router
 from .vector_engine import (
     VECTOR_MAX_NODES,
-    resolve_vector_max_nodes,
     vector_deliver_scheduled,
     vector_supported,
 )
@@ -44,11 +41,6 @@ __all__ = [
     "SynchronousNetwork",
     "UnreachableError",
     "ENGINES",
-    "INTEGRITY_MAX_RETRIES",
-    "RETRANSMIT_BACKOFF_CAP",
-    "QUARANTINE_EWMA_DECAY",
-    "QUARANTINE_THRESHOLD",
-    "QUARANTINE_PROBE_AFTER",
 ]
 
 #: delivery engine selectors: ``auto`` dispatches to the vectorised kernel
@@ -56,54 +48,6 @@ __all__ = [
 #: and falls back to the classic loop otherwise; ``classic`` forces the
 #: reference loop; ``vector`` forces the kernel and raises when it cannot run
 ENGINES = ("auto", "classic", "vector")
-
-#: integrity protocol (byzantine link faults, see
-#: :meth:`SynchronousNetwork.corrupt_link`): how many times a message may
-#: be retransmitted before it fails with reason ``"integrity"``
-INTEGRITY_MAX_RETRIES = 6
-#: cap on the exponential retransmit backoff, in cycles (1, 2, 4, ... cap)
-RETRANSMIT_BACKOFF_CAP = 32
-#: per-crossing decay of a link's corruption EWMA (bad crossings add
-#: ``1 - decay``): three consecutive bad crossings from a clean history
-#: push the EWMA over the quarantine threshold
-QUARANTINE_EWMA_DECAY = 0.75
-QUARANTINE_THRESHOLD = 0.5
-#: cycles a quarantined link sits out before its probe heal readmits it
-QUARANTINE_PROBE_AFTER = 24
-
-_TWO64 = float(1 << 64)
-
-
-def _payload_word(m: Message) -> int:
-    """The 64-bit payload word a message carries end-to-end in byzantine
-    mode: a digest of its identity, standing in for the application data a
-    real transport would checksum."""
-    data = repr((m.msg_id, m.src, m.dst, m.payload)).encode(
-        "utf-8", "backslashreplace"
-    )
-    return int.from_bytes(blake2b(data, digest_size=8).digest(), "big")
-
-
-def _checksum(word: int) -> int:
-    """End-to-end checksum over the payload word.
-
-    CRC-32 on purpose: small enough that silent collisions are *possible*,
-    which is exactly what the ``n_silent_corruptions`` ground-truth counter
-    exists to measure (benchmarks gate it at zero on the seeded corpus).
-    """
-    return zlib.crc32(word.to_bytes(8, "big"))
-
-
-def _byz_coin(seed: int, tag: int, a: int, b: int, msg_id: int, crossing: int) -> int:
-    """Stateless 64-bit coin for byzantine outcomes.
-
-    Keyed on (event seed, action tag, canonical link endpoint indices,
-    message id, per-message crossing counter): deterministic under one
-    seed, independent of forwarding order, and free of RNG state that
-    would otherwise have to ride along in checkpoints.
-    """
-    data = struct.pack(">qqqqqq", seed, tag, a, b, msg_id, crossing)
-    return int.from_bytes(blake2b(data, digest_size=8).digest(), "big")
 
 
 class UnreachableError(RuntimeError):
@@ -196,34 +140,22 @@ class SynchronousNetwork:
         failed_links: Iterable[tuple[Node, Node]] | None = None,
         router: Router | str | None = None,
         engine: str = "auto",
-        vector_max_nodes: int | None = None,
     ):
         if link_capacity < 1:
             raise ValueError(f"link capacity must be >= 1, got {link_capacity}")
         if engine not in ENGINES:
             raise ValueError(f"unknown engine {engine!r}; choose from {ENGINES}")
-        if vector_max_nodes is not None:
-            resolve_vector_max_nodes(vector_max_nodes)  # validate eagerly
         self.topology = topology
         self.link_capacity = link_capacity
         self.engine = engine
-        #: explicit dense-table bound override; ``None`` defers to the
-        #: ``REPRO_VECTOR_MAX_NODES`` env var, then the module default —
-        #: see :attr:`vector_max_nodes`
-        self._vector_max_nodes = vector_max_nodes
         self.router = make_router(router).bind(self)
         self.failed: set[frozenset] = set()
         #: latency faults: link -> extra cycles per crossing (slow, not dead)
         self.link_delays: dict[frozenset, int] = {}
-        #: byzantine faults: link -> (per-crossing corruption rate, seed)
-        self.link_corruption: dict[frozenset, tuple[float, int]] = {}
-        #: byzantine faults: link -> (per-crossing drop rate, seed)
-        self.link_flaky: dict[frozenset, tuple[float, int]] = {}
-        #: links quarantined by the corruption EWMA, mapped to the absolute
-        #: (``fault_offset``-inclusive) cycle their probe heal readmits them
-        self.quarantined: dict[frozenset, int] = {}
-        #: per-link corruption EWMA driving quarantine decisions
-        self.corruption_ewma: dict[frozenset, float] = {}
+        #: byzantine link state and the integrity protocol
+        #: (:mod:`repro.simulate.integrity`); ``None`` until the first
+        #: ``corrupt_link`` / ``flaky_link``
+        self.integrity: Integrity | None = None
         self._dist_to: dict[Node, dict[Node, int]] = {}
         #: the DistanceOracle's scalar router (``oracle.next_hop``), fetched
         #: lazily for the fault-free classic path; ``False`` marks "dense
@@ -241,22 +173,51 @@ class SynchronousNetwork:
     # ------------------------------------------------------------------
     # Fault injection
     # ------------------------------------------------------------------
-    def fail_link(self, u: Node, v: Node) -> None:
+    def _link(self, what: str, u: Node, v: Node) -> frozenset:
+        """Guard a direct fault call; return the link ``{u, v}``.
+
+        The link must be an actual topology edge, and the call must not
+        come from inside a running delivery (see
+        :meth:`_check_not_delivering`).
+        """
+        self._check_not_delivering(what)
+        if v not in set(self.topology.neighbors(u)):
+            raise ValueError(f"{u!r} -- {v!r} is not a link of {self.topology.name}")
+        return frozenset((u, v))
+
+    def _take_down(self, u: Node, v: Node) -> bool:
+        """Remove ``{u, v}`` from the route set; False if already out."""
+        link = frozenset((u, v))
+        if link in self.failed:
+            return False
+        self.failed.add(link)
+        self._invalidate(u, v, healed=False)
+        return True
+
+    def _bring_up(self, u: Node, v: Node) -> bool:
+        """Readmit ``{u, v}`` to the route set; False if already in."""
+        link = frozenset((u, v))
+        if link not in self.failed:
+            return False
+        self.failed.discard(link)
+        self._invalidate(u, v, healed=True)
+        return True
+
+    def fail_link(self, u: Node, v: Node) -> list[tuple[Node, Node]]:
         """Take the (bidirectional) link ``{u, v}`` down.
 
         Must name an actual topology edge.  Routing tables are invalidated
         *incrementally*: only destinations whose cached distances actually
         change are dropped (see :meth:`_invalidate`); every other table
         stays exact, so unrelated traffic keeps its warm caches across
-        faults.
+        faults.  Failing a link that is already down is a no-op, except
+        that it cancels a quarantine's probe heal (the failure outranks
+        the quarantine).  Returns the links that newly failed.
         """
-        self._check_not_delivering("fail_link")
-        if v not in set(self.topology.neighbors(u)):
-            raise ValueError(f"{u!r} -- {v!r} is not a link of {self.topology.name}")
-        self.failed.add(frozenset((u, v)))
-        # an explicit failure outranks a quarantine: cancel the probe heal
-        self.quarantined.pop(frozenset((u, v)), None)
-        self._invalidate(u, v, healed=False)
+        link = self._link("fail_link", u, v)
+        if self.integrity is not None:
+            self.integrity.cancel_probe(link)
+        return [(u, v)] if self._take_down(u, v) else []
 
     def restore_link(self, u: Node, v: Node) -> None:
         """Bring a previously failed link back up.
@@ -267,40 +228,17 @@ class SynchronousNetwork:
         where the revived link creates a shorter route: when exactly one
         endpoint was reachable, or the cached distances differ by two or
         more.  Tables the link cannot improve (``|dist(u) - dist(v)| <= 1``)
-        are kept.
+        are kept.  A heal restores full function: latency and byzantine
+        faults clear too, and a quarantined link is pardoned outright.
         """
-        self._check_not_delivering("heal_link")
-        if v not in set(self.topology.neighbors(u)):
-            raise ValueError(f"{u!r} -- {v!r} is not a link of {self.topology.name}")
-        # a heal restores full function: latency and byzantine faults clear
-        # too, and a quarantined link is pardoned outright (no probe needed)
-        link = frozenset((u, v))
+        link = self._link("heal_link", u, v)
         self.link_delays.pop(link, None)
-        self.link_corruption.pop(link, None)
-        self.link_flaky.pop(link, None)
-        self.quarantined.pop(link, None)
-        self.corruption_ewma.pop(link, None)
-        if link not in self.failed:
-            return  # already live: nothing changed, keep every warm table
-        self.failed.discard(link)
-        self._invalidate(u, v, healed=True)
+        if self.integrity is not None:
+            self.integrity.clear(link)
+        self._bring_up(u, v)
 
     #: alias: fault-injection scripts read ``fail_link`` / ``heal_link``
     heal_link = restore_link
-
-    def _revive_link(self, u: Node, v: Node) -> None:
-        """Quarantine probe heal: restore *routability* only.
-
-        Unlike :meth:`restore_link` this keeps the link's byzantine state
-        (corruption/flaky rates): the probe optimistically readmits the
-        link to the route set, and if it still corrupts, its EWMA climbs
-        and quarantines it again.
-        """
-        link = frozenset((u, v))
-        if link not in self.failed:
-            return
-        self.failed.discard(link)
-        self._invalidate(u, v, healed=True)
 
     def corrupt_link(self, u: Node, v: Node, rate: float, seed: int = 0) -> None:
         """Make the (bidirectional) link *byzantine*: each crossing flips a
@@ -310,24 +248,13 @@ class SynchronousNetwork:
         This is a data-integrity fault, not a failure: the link stays up
         and routable, distance tables are untouched, and the corruption is
         only observable through the end-to-end checksum the delivery loop
-        verifies at the destination (see :meth:`deliver_scheduled`).
+        verifies at the destination (see :mod:`repro.simulate.integrity`).
         Outcomes are drawn from a stateless hash keyed on
         ``(seed, link, msg_id, crossing)``, so runs are deterministic and
         independent of forwarding order.  ``rate=0`` restores honest
         behaviour; :meth:`heal_link` also clears it.
         """
-        self._check_not_delivering("corrupt_link")
-        if v not in set(self.topology.neighbors(u)):
-            raise ValueError(f"{u!r} -- {v!r} is not a link of {self.topology.name}")
-        if not 0.0 <= rate <= 1.0:
-            raise ValueError(f"corruption rate must be in [0, 1], got {rate}")
-        link = frozenset((u, v))
-        if rate == 0.0:
-            self.link_corruption.pop(link, None)
-            if link not in self.link_flaky:
-                self.corruption_ewma.pop(link, None)
-        else:
-            self.link_corruption[link] = (rate, seed)
+        self._byzantine("corrupt_link", "corruption", u, v, rate, seed)
 
     def flaky_link(self, u: Node, v: Node, rate: float, seed: int = 0) -> None:
         """Make the (bidirectional) link *flaky*: each crossing silently
@@ -339,18 +266,16 @@ class SynchronousNetwork:
         retransmit path as a detected corruption).  ``rate=0`` restores
         honest behaviour; :meth:`heal_link` also clears it.
         """
-        self._check_not_delivering("flaky_link")
-        if v not in set(self.topology.neighbors(u)):
-            raise ValueError(f"{u!r} -- {v!r} is not a link of {self.topology.name}")
+        self._byzantine("flaky_link", "drop", u, v, rate, seed)
+
+    def _byzantine(
+        self, action: str, what: str, u: Node, v: Node, rate: float, seed: int
+    ) -> None:
+        link = self._link(action, u, v)
         if not 0.0 <= rate <= 1.0:
-            raise ValueError(f"drop rate must be in [0, 1], got {rate}")
-        link = frozenset((u, v))
-        if rate == 0.0:
-            self.link_flaky.pop(link, None)
-            if link not in self.link_corruption:
-                self.corruption_ewma.pop(link, None)
-        else:
-            self.link_flaky[link] = (rate, seed)
+            raise ValueError(f"{what} rate must be in [0, 1], got {rate}")
+        if rate or self.integrity is not None:
+            Integrity.of(self).set_rate(action, link, rate, seed)
 
     def delay_link(self, u: Node, v: Node, delay: int) -> None:
         """Make the (bidirectional) link slow: every crossing now takes
@@ -362,22 +287,22 @@ class SynchronousNetwork:
         repair is warranted — a slow link delivers, just late.  ``delay=0``
         restores full speed; :meth:`heal_link` also clears a delay.
         """
-        self._check_not_delivering("delay_link")
-        if v not in set(self.topology.neighbors(u)):
-            raise ValueError(f"{u!r} -- {v!r} is not a link of {self.topology.name}")
+        link = self._link("delay_link", u, v)
         if delay < 0:
             raise ValueError(f"link delay must be >= 0 extra cycles, got {delay}")
         if delay == 0:
-            self.link_delays.pop(frozenset((u, v)), None)
+            self.link_delays.pop(link, None)
         else:
-            self.link_delays[frozenset((u, v))] = delay
+            self.link_delays[link] = delay
 
-    def fail_node(self, node: Node) -> None:
-        """Take a whole processor down: fail every live incident link."""
+    def fail_node(self, node: Node) -> list[tuple[Node, Node]]:
+        """Take a whole processor down: fail every live incident link.
+
+        Returns the links that newly failed.
+        """
         if not self.topology.has_node(node):
             raise ValueError(f"{node!r} is not a node of {self.topology.name}")
-        for v in list(self.live_neighbors(node)):
-            self.fail_link(node, v)
+        return [l for v in list(self.live_neighbors(node)) for l in self.fail_link(node, v)]
 
     def heal_node(self, node: Node) -> None:
         """Bring a processor back: heal every incident link.
@@ -391,19 +316,6 @@ class SynchronousNetwork:
         for v in self.topology.neighbors(node):
             if frozenset((node, v)) in self.failed:
                 self.restore_link(node, v)
-
-    @property
-    def vector_max_nodes(self) -> int:
-        """Effective dense-table node bound for this network.
-
-        Resolution order: the ``vector_max_nodes`` constructor argument,
-        then the ``REPRO_VECTOR_MAX_NODES`` environment variable, then the
-        module default :data:`~repro.simulate.vector_engine.VECTOR_MAX_NODES`
-        (2048).  Large hosts that can afford the O(n²) next-hop tables opt
-        in by raising it instead of silently falling back to the classic
-        loop.
-        """
-        return resolve_vector_max_nodes(self._vector_max_nodes)
 
     def _check_not_delivering(self, what: str) -> None:
         """Reject bare fault calls while a delivery is running.
@@ -425,47 +337,27 @@ class SynchronousNetwork:
                 "stale routes)"
             )
 
-    def _apply_fault_event(self, ev: "FaultEvent") -> list[tuple[Node, Node]]:
+    def apply_fault(self, ev: "FaultEvent") -> list[tuple[Node, Node]]:
         """Apply one schedule event; return the links that newly failed.
 
-        No-op events (failing a failed link, healing a live one) return an
-        empty list, keeping chaos schedules idempotent.  Invalid events
-        (non-edges, unknown nodes) raise :class:`ValueError` exactly like
-        the direct methods do.
+        The single apply path: the delivery loop runs scheduled events
+        through it mid-delivery, and a runtime restore replays applied
+        events through it.  Each action calls the direct method of the
+        same name, so no-op events (failing a failed link, healing a live
+        one) stay no-ops and invalid events (non-edges, unknown nodes)
+        raise :class:`ValueError` exactly like the direct calls.
         """
+        if ev.action.endswith("_node"):
+            args: tuple = (ev.u,)
+        elif ev.action == "delay_link":
+            args = (ev.u, ev.v, ev.delay)
+        elif ev.byzantine:
+            args = (ev.u, ev.v, ev.rate, ev.seed)
+        else:
+            args = (ev.u, ev.v)
         self._applying_fault = True
         try:
-            newly_failed: list[tuple[Node, Node]] = []
-            if ev.action == "fail_link":
-                if frozenset((ev.u, ev.v)) not in self.failed:
-                    self.fail_link(ev.u, ev.v)
-                    newly_failed.append((ev.u, ev.v))
-                elif ev.v not in set(self.topology.neighbors(ev.u)):
-                    raise ValueError(
-                        f"{ev.u!r} -- {ev.v!r} is not a link of {self.topology.name}"
-                    )
-                else:
-                    # failing an already-down link is a no-op, except that
-                    # an explicit fail on a quarantined link cancels its
-                    # probe heal (the failure outranks the quarantine)
-                    self.quarantined.pop(frozenset((ev.u, ev.v)), None)
-            elif ev.action == "heal_link":
-                self.restore_link(ev.u, ev.v)
-            elif ev.action == "delay_link":
-                self.delay_link(ev.u, ev.v, ev.delay)
-            elif ev.action == "corrupt_link":
-                self.corrupt_link(ev.u, ev.v, ev.rate, ev.seed)
-            elif ev.action == "flaky_link":
-                self.flaky_link(ev.u, ev.v, ev.rate, ev.seed)
-            elif ev.action == "fail_node":
-                if not self.topology.has_node(ev.u):
-                    raise ValueError(f"{ev.u!r} is not a node of {self.topology.name}")
-                for v in list(self.live_neighbors(ev.u)):
-                    self.fail_link(ev.u, v)
-                    newly_failed.append((ev.u, v))
-            else:  # heal_node
-                self.heal_node(ev.u)
-            return newly_failed
+            return getattr(self, ev.action)(*args) or []
         finally:
             self._applying_fault = False
 
@@ -534,13 +426,14 @@ class SynchronousNetwork:
 
         Returns ``oracle.next_hop`` — interval routing on a tree, a dense
         table gather otherwise — or ``False`` when the topology needs dense
-        tables and exceeds :attr:`vector_max_nodes`, so the O(n^2) tables
-        are not worth building.
+        tables and exceeds
+        :data:`~repro.simulate.vector_engine.VECTOR_MAX_NODES`, so the
+        O(n^2) tables are not worth building.
         """
         nh = self._dense_nh
         if nh is None:
             topo = self.topology
-            if not topo.is_tree and topo.n_nodes > self.vector_max_nodes:
+            if not topo.is_tree and topo.n_nodes > VECTOR_MAX_NODES:
                 nh = self._dense_nh = False
             else:
                 from ..analysis.oracle import oracle_for
@@ -674,23 +567,13 @@ class SynchronousNetwork:
           with a structured ``failed`` report — never an infinite loop —
           and whole-network stalls fast-forward the clock to the next
           event instead of spinning through dead cycles.
-        * **byzantine events** (``corrupt_link`` / ``flaky_link``) activate
-          the end-to-end integrity protocol: every routed message carries
-          a checksummed payload word injected at source; a corrupted
-          arrival is never delivered — it is counted
-          (``DeliveryStats.n_corrupted``), NACKed, and retransmitted from
-          source with exponential cycle-backoff (1, 2, 4, ... capped at
-          ``RETRANSMIT_BACKOFF_CAP``), failing with the structured reason
-          ``"integrity"`` after ``INTEGRITY_MAX_RETRIES`` attempts.  A
-          flaky link drops crossings in transit and feeds the same
-          retransmit path.  Links whose corruption EWMA crosses
-          ``QUARANTINE_THRESHOLD`` are quarantined out of the route set
-          (the same incremental invalidation as a link failure) and
-          optimistically probed back in ``QUARANTINE_PROBE_AFTER`` cycles
-          later.  Outcomes are drawn from stateless seeded hashes, so runs
-          are deterministic and checkpoint-free; with no byzantine events
-          scheduled and no byzantine link state, the delivery is
-          bit-identical to the non-byzantine engine.
+        * **byzantine events** (``corrupt_link`` / ``flaky_link``), or
+          byzantine link state left by an earlier delivery, switch on the
+          end-to-end integrity protocol of
+          :mod:`repro.simulate.integrity`: checksummed payloads, NACK and
+          retransmit with backoff, ``"integrity"`` failures once retries
+          exhaust, and EWMA quarantine with probe heal.  Without byzantine
+          state the delivery is bit-identical to the engine without it.
 
         Without ``faults``/``ttl`` the semantics are exactly historical:
         an unreachable destination raises :class:`UnreachableError`.
@@ -731,18 +614,22 @@ class SynchronousNetwork:
         fi = 0
         n_fev = len(fev)
         # latency faults: active on entry, or introduced by a schedule event
-        delayed = bool(self.link_delays) or any(e.action == "delay_link" for e in fev)
-        # byzantine faults likewise: state persists across supersteps (the
-        # BSP driver calls this once per superstep) or arrives via events.
-        # They force fault mode — corruption surfaces as retransmissions,
-        # reroutes, and structured "integrity" failures
-        byz = bool(
-            self.link_corruption or self.link_flaky or self.quarantined
-        ) or any(e.action in ("corrupt_link", "flaky_link") for e in fev)
-        fault_mode = faults is not None or ttl is not None or byz
+        link_delays = self.link_delays
+        delayed = bool(link_delays) or any(e.action == "delay_link" for e in fev)
+        stats = DeliveryStats(cycles=0, n_messages=len(schedule))
+        # byzantine state persists across deliveries (the BSP driver calls
+        # this once per superstep) or arrives via events; either runs the
+        # integrity protocol, which forces fault mode
+        integ = self.integrity
+        if any(e.byzantine for e in fev):
+            integ = Integrity.of(self)
+        elif integ is not None and not integ.active:
+            integ = None
+        if integ is not None:
+            integ.begin(stats, rec, fault_offset)
+        fault_mode = faults is not None or ttl is not None or integ is not None
         # messages crossing a slow link, keyed by the cycle they arrive
         in_transit: dict[int, list[tuple[Node, tuple[int, Message]]]] = {}
-        stats = DeliveryStats(cycles=0, n_messages=len(schedule))
         # queues[node] holds (seq, message) tuples in FIFO order
         queues: dict[Node, deque[tuple[int, Message]]] = defaultdict(deque)
         pending: dict[int, list[tuple[int, Message]]] = defaultdict(list)
@@ -750,19 +637,6 @@ class SynchronousNetwork:
         # computed-but-unsent next hop of queued messages (reroute events)
         inject_at: dict[int, int] = {}
         planned: dict[int, tuple[Node, Node, Message]] = {}
-        # integrity protocol (byzantine mode only): the payload word each
-        # routed message currently carries, its pristine value (simulator
-        # ground truth), the checksum injected at source, retransmission
-        # attempts, the per-message byzantine-crossing counter salting the
-        # coins, and the backoff pool of retransmissions keyed by the
-        # cycle they re-enter their source queue
-        word: dict[int, int] = {}
-        orig_word: dict[int, int] = {}
-        checksum: dict[int, int] = {}
-        attempts: dict[int, int] = {}
-        crossings: dict[int, int] = {}
-        retrans: dict[int, list[Message]] = {}
-        to_quarantine: list[frozenset] = []
         seq = 0
         last_self = 0
         seen_ids: set[int] = set()
@@ -782,10 +656,8 @@ class SynchronousNetwork:
                     rec.on_inject(inject, m)
                     rec.on_delivered(inject, m, m.dst)
                 continue
-            if byz:
-                w = _payload_word(m)
-                word[m.msg_id] = orig_word[m.msg_id] = w
-                checksum[m.msg_id] = _checksum(w)
+            if integ is not None:
+                integ.stamp(m)
             pending[inject].append((seq, m))
             seq += 1
 
@@ -809,35 +681,37 @@ class SynchronousNetwork:
         link_capacity = self.link_capacity
         link_traffic = stats.link_traffic
         delivery_cycle = stats.delivery_cycle
-        topo_index = self.topology.index
         max_queue = 0
         fast = not fault_mode and not adaptive and rec is None and not delayed
 
-        def _integrity_reject(m: Message, at: Node, cycle: int) -> None:
-            # corrupted at arrival, or dropped in transit by a flaky link:
-            # schedule a pristine retransmission from source after
-            # exponential backoff, or fail the message with reason
-            # "integrity" once retries exhaust — a *detected-wrong-data*
-            # failure, distinct from the fail-stop "ttl"/"partitioned"
+        def drop(m: Message, at: Node, reason: str, cycle: int) -> None:
+            # the one way a routed message leaves the network undelivered
             nonlocal in_network
-            mid = m.msg_id
-            attempt = attempts.get(mid, 0) + 1
-            if attempt > INTEGRITY_MAX_RETRIES:
-                stats.failed[mid] = "integrity"
-                planned.pop(mid, None)
-                in_network -= 1
-                for state in (word, orig_word, checksum, attempts, crossings):
-                    state.pop(mid, None)
-                if rec is not None:
-                    rec.on_dropped(cycle, m, at, "integrity")
-                return
-            attempts[mid] = attempt
-            stats.n_retransmits += 1
-            word[mid] = orig_word[mid]
-            back = min(1 << (attempt - 1), RETRANSMIT_BACKOFF_CAP)
-            retrans.setdefault(cycle + back, []).append(m)
+            stats.failed[m.msg_id] = reason
+            planned.pop(m.msg_id, None)
+            in_network -= 1
+            if integ is not None:
+                integ.forget(m.msg_id)
             if rec is not None:
-                rec.on_retransmit(cycle, m, attempt)
+                rec.on_dropped(cycle, m, at, reason)
+
+        def reject(m: Message, at: Node, cycle: int) -> None:
+            # corrupted at arrival or lost in transit: resend from source,
+            # or fail with "integrity" (detected wrong data, distinct from
+            # the fail-stop "ttl"/"partitioned") once retries exhaust
+            if not integ.retransmit(m, cycle):
+                drop(m, at, "integrity", cycle)
+
+        def reroute(dead: set[frozenset], cycle: int) -> None:
+            # queued messages whose planned hop just left the route set stay
+            # at their sender and re-route on their next forwarding
+            for mid, (at, hop, msg) in list(planned.items()):
+                if frozenset((at, hop)) in dead:
+                    del planned[mid]
+                    stats.n_reroutes += 1
+                    if rec is not None:
+                        rec.on_reroute(cycle, msg, at)
+
         self._delivering = True
         try:
             while in_network or inj_ptr < n_inj:
@@ -850,7 +724,7 @@ class SynchronousNetwork:
                     for s, m in pending.pop(cycle):
                         queues[m.src].append((s, m))
                         in_network += 1
-                        if fault_mode:
+                        if ttl is not None:
                             inject_at[m.msg_id] = cycle
                         if rec is not None:
                             rec.on_inject(cycle, m)
@@ -858,45 +732,18 @@ class SynchronousNetwork:
                 while fi < n_fev and fev[fi].cycle - fault_offset <= cycle:
                     ev = fev[fi]
                     fi += 1
-                    newly_failed = self._apply_fault_event(ev)
+                    newly_failed = self.apply_fault(ev)
                     stats.faults_applied.append(ev)
                     if rec is not None:
                         rec.on_fault(cycle, ev.action, ev.u, ev.v)
                     if newly_failed and planned:
-                        dead = {frozenset(l) for l in newly_failed}
-                        for msg_id, (at, hop, msg) in list(planned.items()):
-                            if frozenset((at, hop)) in dead:
-                                del planned[msg_id]
-                                stats.n_reroutes += 1
-                                if rec is not None:
-                                    rec.on_reroute(cycle, msg, at)
-                if byz:
-                    if self.quarantined and min(self.quarantined.values()) - fault_offset <= cycle:
-                        # probe heals due at this boundary: optimistically
-                        # readmit the link to the route set (its byzantine
-                        # state is kept — still corrupting means the EWMA
-                        # climbs and it re-quarantines)
-                        due = sorted(
-                            (
-                                l
-                                for l, c in self.quarantined.items()
-                                if c - fault_offset <= cycle
-                            ),
-                            key=lambda l: sorted(map(topo_index, l)),
-                        )
-                        for link in due:
-                            del self.quarantined[link]
-                            u, v = sorted(link, key=topo_index)
-                            self._revive_link(u, v)
-                            if rec is not None:
-                                rec.on_quarantine(cycle, u, v, "probe_heal")
-                    if retrans and min(retrans) <= cycle:
-                        for t in sorted(k for k in retrans if k <= cycle):
-                            for m in retrans.pop(t):
-                                # a retransmitted copy re-enters at the back
-                                # of its source FIFO with a fresh sequence
-                                queues[m.src].append((seq, m))
-                                seq += 1
+                        reroute({frozenset(l) for l in newly_failed}, cycle)
+                if integ is not None:
+                    for m in integ.boundary(cycle):
+                        # a retransmitted copy re-enters at the back of its
+                        # source FIFO with a fresh sequence
+                        queues[m.src].append((seq, m))
+                        seq += 1
                 moved_any = False
                 arrivals: dict[Node, list[tuple[int, Message]]] = defaultdict(list)
                 for node in list(queues):
@@ -926,112 +773,55 @@ class SynchronousNetwork:
                         continue
                     while q:
                         s, m = q.popleft()
-                        if fault_mode:
-                            if ttl is not None and cycle - inject_at[m.msg_id] > ttl:
-                                stats.failed[m.msg_id] = "ttl"
-                                planned.pop(m.msg_id, None)
-                                in_network -= 1
-                                if rec is not None:
-                                    rec.on_dropped(cycle, m, node, "ttl")
-                                continue
-                            try:
-                                if adaptive:
-                                    hop = router.next_hop(node, m.dst, m.msg_id)
-                                else:
-                                    hop = next_hop(node, m.dst)
-                            except UnreachableError:
-                                if fi < n_fev or self.quarantined:
-                                    # a future event (or a quarantine probe
-                                    # heal) may reconnect it: wait
-                                    planned.pop(m.msg_id, None)
-                                    kept.append((s, m))
-                                    if rec is not None:
-                                        rec.on_queued(cycle, m, node)
-                                    continue
-                                stats.failed[m.msg_id] = "partitioned"
-                                planned.pop(m.msg_id, None)
-                                in_network -= 1
-                                if rec is not None:
-                                    rec.on_dropped(cycle, m, node, "partitioned")
-                                continue
-                        elif adaptive:
-                            hop = router.next_hop(node, m.dst, m.msg_id)
-                        else:
-                            hop = next_hop(node, m.dst)
-                        if sent_per_link[hop] < link_capacity:
-                            sent_per_link[hop] += 1
-                            key = (node, hop)
-                            link_traffic[key] = link_traffic.get(key, 0) + 1
+                        if ttl is not None and cycle - inject_at[m.msg_id] > ttl:
+                            drop(m, node, "ttl", cycle)
+                            continue
+                        try:
                             if adaptive:
-                                cycle_links[key] += 1
-                            lost = False
-                            if byz:
-                                link = frozenset(key)
-                                fl = self.link_flaky.get(link)
-                                co = self.link_corruption.get(link)
-                                if fl is not None or co is not None:
-                                    mid = m.msg_id
-                                    k = crossings.get(mid, 0) + 1
-                                    crossings[mid] = k
-                                    a = topo_index(node)
-                                    b = topo_index(hop)
-                                    if a > b:
-                                        a, b = b, a
-                                    bad = False
-                                    if fl is not None and _byz_coin(
-                                        fl[1], 1, a, b, mid, k
-                                    ) < fl[0] * _TWO64:
-                                        # flaky link: the crossing is lost in
-                                        # transit; an abstracted NACK timeout
-                                        # drives the same retransmit path as
-                                        # a detected corruption
-                                        lost = True
-                                        bad = True
-                                    elif co is not None and _byz_coin(
-                                        co[1], 2, a, b, mid, k
-                                    ) < co[0] * _TWO64:
-                                        # corrupting link: XOR a nonzero
-                                        # seeded pattern into the word
-                                        word[mid] ^= _byz_coin(
-                                            co[1], 3, a, b, mid, k
-                                        ) or 1
-                                        bad = True
-                                    ew = QUARANTINE_EWMA_DECAY * self.corruption_ewma.get(
-                                        link, 0.0
-                                    )
-                                    if bad:
-                                        ew += 1.0 - QUARANTINE_EWMA_DECAY
-                                    self.corruption_ewma[link] = ew
-                                    if (
-                                        ew >= QUARANTINE_THRESHOLD
-                                        and link not in to_quarantine
-                                    ):
-                                        to_quarantine.append(link)
-                            if fault_mode:
-                                moved_any = True
-                                planned.pop(m.msg_id, None)
-                            if rec is not None:
-                                rec.on_hop(cycle, m, node, hop)
-                            if lost:
-                                _integrity_reject(m, hop, cycle)
-                                continue
-                            d = (
-                                self.link_delays.get(frozenset((node, hop)), 0)
-                                if delayed
-                                else 0
-                            )
-                            if d:
-                                # slow link: the message left the sender but
-                                # arrives d cycles late (latency fault)
-                                in_transit.setdefault(cycle + d, []).append((hop, (s, m)))
+                                hop = router.next_hop(node, m.dst, m.msg_id)
                             else:
-                                arrivals[hop].append((s, m))
-                        else:
+                                hop = next_hop(node, m.dst)
+                        except UnreachableError:
+                            if not fault_mode:
+                                raise
+                            if fi < n_fev or (integ is not None and integ.probing):
+                                # a future event (or a quarantine probe
+                                # heal) may reconnect it: wait
+                                planned.pop(m.msg_id, None)
+                                kept.append((s, m))
+                                if rec is not None:
+                                    rec.on_queued(cycle, m, node)
+                            else:
+                                drop(m, node, "partitioned", cycle)
+                            continue
+                        if sent_per_link[hop] >= link_capacity:
                             kept.append((s, m))
                             if fault_mode:
                                 planned[m.msg_id] = (node, hop, m)
                             if rec is not None:
                                 rec.on_queued(cycle, m, node)
+                            continue
+                        sent_per_link[hop] += 1
+                        key = (node, hop)
+                        link_traffic[key] = link_traffic.get(key, 0) + 1
+                        if adaptive:
+                            cycle_links[key] += 1
+                        lost = integ is not None and integ.cross(m, node, hop)
+                        moved_any = True
+                        if planned:
+                            planned.pop(m.msg_id, None)
+                        if rec is not None:
+                            rec.on_hop(cycle, m, node, hop)
+                        if lost:
+                            reject(m, hop, cycle)
+                            continue
+                        d = link_delays.get(frozenset(key), 0) if delayed else 0
+                        if d:
+                            # slow link: the message left the sender but
+                            # arrives d cycles late (latency fault)
+                            in_transit.setdefault(cycle + d, []).append((hop, (s, m)))
+                        else:
+                            arrivals[hop].append((s, m))
                     queues[node] = kept
                 if delayed and in_transit:
                     # slow-link crossings finishing this cycle join the
@@ -1044,72 +834,23 @@ class SynchronousNetwork:
                             arrivals[hop].append(sm)
                 for node, arrived in arrivals.items():
                     for s, m in arrived:
-                        if m.dst == node:
-                            if byz:
-                                mid = m.msg_id
-                                w = word.get(mid)
-                                if w is not None:
-                                    if _checksum(w) != checksum[mid]:
-                                        # end-to-end integrity check failed:
-                                        # NACK — never deliver wrong data
-                                        stats.n_corrupted += 1
-                                        if rec is not None:
-                                            rec.on_corrupt(cycle, m, node)
-                                        _integrity_reject(m, node, cycle)
-                                        continue
-                                    if w != orig_word[mid]:
-                                        # corrupted AND the checksum
-                                        # collided: wrong data delivered
-                                        # silently — the ground-truth
-                                        # counter benchmarks gate at zero
-                                        stats.n_silent_corruptions += 1
-                                    for state in (
-                                        word,
-                                        orig_word,
-                                        checksum,
-                                        attempts,
-                                        crossings,
-                                    ):
-                                        state.pop(mid, None)
+                        if m.dst != node:
+                            queues[node].append((s, m))
+                        elif integ is not None and not integ.verify(m, node, cycle):
+                            reject(m, node, cycle)
+                        else:
                             delivery_cycle[m.msg_id] = cycle
                             in_network -= 1
                             if rec is not None:
                                 rec.on_delivered(cycle, m, node)
-                        else:
-                            queues[node].append((s, m))
                 # keep FIFO fairness stable: re-sort merged queues by sequence
                 for node in arrivals:
                     if queues[node]:
                         queues[node] = deque(sorted(queues[node]))
-                if to_quarantine:
-                    # links whose corruption EWMA crossed the threshold this
-                    # cycle leave the route set at the cycle end — the same
-                    # incremental invalidation as a scheduled link failure —
-                    # and get a probe heal QUARANTINE_PROBE_AFTER cycles out
-                    for link in to_quarantine:
-                        if link in self.failed:
-                            continue
-                        u, v = sorted(link, key=topo_index)
-                        self._applying_fault = True
-                        try:
-                            self.fail_link(u, v)
-                        finally:
-                            self._applying_fault = False
-                        self.quarantined[link] = (
-                            cycle + fault_offset + QUARANTINE_PROBE_AFTER
-                        )
-                        self.corruption_ewma.pop(link, None)
-                        stats.n_quarantined += 1
-                        if rec is not None:
-                            rec.on_quarantine(cycle, u, v, "quarantined")
+                if integ is not None:
+                    for link in integ.quarantine(cycle):
                         if planned:
-                            for msg_id, (at, php, msg) in list(planned.items()):
-                                if frozenset((at, php)) == link:
-                                    del planned[msg_id]
-                                    stats.n_reroutes += 1
-                                    if rec is not None:
-                                        rec.on_reroute(cycle, msg, at)
-                    to_quarantine.clear()
+                            reroute({link}, cycle)
                 if rec is not None:
                     rec.on_cycle_end(cycle, queues, in_network)
                 if adaptive:
@@ -1118,37 +859,26 @@ class SynchronousNetwork:
                 if fault_mode and in_network and not moved_any:
                     # whole network stalled: every queued message is waiting
                     # on a future heal (or doomed).  Fast-forward to whatever
-                    # can change the picture — the next injection or the next
-                    # fault event — or, with neither left, drop the stragglers
-                    # as partitioned so the run terminates with a report.
+                    # can change the picture — the next injection, fault
+                    # event, slow-link arrival, retransmission or probe heal
+                    # — or, with none left, drop the stragglers as
+                    # partitioned so the run terminates with a report.
                     targets = []
                     if inj_ptr < n_inj:
                         targets.append(inj_cycles[inj_ptr])
                     if fi < n_fev:
                         targets.append(fev[fi].cycle - fault_offset - 1)
                     if in_transit:
-                        # messages on slow links are progress, just late:
-                        # jump to the earliest arrival instead of dropping
                         targets.append(min(in_transit) - 1)
-                    if retrans:
-                        # messages backing off before retransmission: jump
-                        # to the earliest re-injection boundary
-                        targets.append(min(retrans) - 1)
-                    if self.quarantined:
-                        # a probe heal can reconnect waiting messages
-                        targets.append(
-                            min(self.quarantined.values()) - fault_offset - 1
-                        )
+                    change = integ.next_change() if integ is not None else None
+                    if change is not None:
+                        targets.append(change - 1)
                     if targets:
                         cycle = max(cycle, min(targets))
                     else:
                         for node in list(queues):
                             for s, m in queues[node]:
-                                stats.failed[m.msg_id] = "partitioned"
-                                planned.pop(m.msg_id, None)
-                                in_network -= 1
-                                if rec is not None:
-                                    rec.on_dropped(cycle, m, node, "partitioned")
+                                drop(m, node, "partitioned", cycle)
                             queues[node].clear()
         finally:
             self._delivering = False

@@ -13,7 +13,9 @@ the paper minimises dilation.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from typing import Any
 
 from ..core.embedding import Embedding
 from ..networks.guest_tree import GuestTreeNet
@@ -37,6 +39,73 @@ def _fold_report(report: FaultReport, stats: DeliveryStats, key=lambda mid: mid)
     report.n_quarantined += stats.n_quarantined
     for mid, reason in stats.failed.items():
         report.failed[key(mid)] = reason
+
+
+def _superstep_messages(
+    program: TreeProgram, phi, *, restart_ids: bool = False
+) -> Iterator[tuple[int, list[tuple[Any, Any]], list[Message]]]:
+    """Each superstep's guest pairs and their host messages, in order.
+
+    Message ids run on across supersteps, or restart at 0 in each one
+    with ``restart_ids``.
+    """
+    mid = 0
+    for k, step in enumerate(program.supersteps):
+        if restart_ids:
+            mid = 0
+        messages = [
+            Message(mid + i, phi[src], phi[dst]) for i, (src, dst) in enumerate(step)
+        ]
+        mid += len(messages)
+        yield k, step, messages
+
+
+def _run_supersteps(
+    network: SynchronousNetwork,
+    program: TreeProgram,
+    phi,
+    *,
+    recorder: Recorder | None = None,
+    faults: FaultSchedule | None = None,
+    ttl: int | None = None,
+    report: FaultReport | None = None,
+    payload: Callable[[Any], Any] | None = None,
+) -> Iterator[tuple[DeliveryStats, dict[int, tuple[Any, Any]] | None]]:
+    """The barrier-synchronised (BSP) superstep driver.
+
+    Superstep ``k``'s guest pairs become host messages through ``phi``
+    and run as one delivery on ``network``; the next superstep starts when
+    every message has arrived.  The global cycle count is each delivery's
+    ``fault_offset``, so one fault schedule spans the whole run, and a
+    recorder sees one phase per superstep.  ``report`` accumulates each
+    delivery's fault outcome.
+
+    Yields ``(stats, sent)`` per superstep.  With a ``payload`` function,
+    message ids restart each superstep, ``sent`` maps each id to
+    ``(dst, payload(src))`` evaluated before the delivery runs, and
+    ``report`` keys failures ``(superstep, msg_id)``; without one, ids run
+    on across the program and ``sent`` is ``None``.
+    """
+    observing = recorder is not None and recorder.enabled
+    base = 0  # global cycle count: fault-schedule cycles span supersteps
+    steps = _superstep_messages(program, phi, restart_ids=payload is not None)
+    for k, step, messages in steps:
+        sent = None
+        if payload is not None:
+            sent = {i: (dst, payload(src)) for i, (src, dst) in enumerate(step)}
+        if observing:
+            recorder.begin_phase(f"{program.name}[{k}]")
+        stats = network.deliver_scheduled(
+            [(0, m) for m in messages],
+            recorder=recorder, faults=faults, ttl=ttl, fault_offset=base,
+        )
+        base += stats.cycles
+        if report is not None:
+            if payload is None:
+                _fold_report(report, stats)
+            else:
+                _fold_report(report, stats, key=lambda mid, k=k: (k, mid))
+        yield stats, sent
 
 
 @dataclass
@@ -123,72 +192,47 @@ def simulate_on_host(
         embedding.host, link_capacity=link_capacity, router=router, engine=engine
     )
     host_name = getattr(embedding.host, "name", type(embedding.host).__name__)
-    observing = recorder is not None and recorder.enabled
     fault_mode = faults is not None or ttl is not None
-    report = FaultReport()
+    report = FaultReport() if fault_mode else None
     if barrier:
         per_step: list[int] = []
         max_traffic = 0
         max_queue = 0
-        msg_id = 0
-        base = 0  # global cycle count: fault-schedule cycles span supersteps
         with span("simulate.on_host", program=program.name, host=host_name, mode="bsp"):
-            for k, step in enumerate(program.supersteps):
-                messages = []
-                for src, dst in step:
-                    messages.append(Message(msg_id, embedding.phi[src], embedding.phi[dst]))
-                    msg_id += 1
-                if observing:
-                    recorder.begin_phase(f"{program.name}[{k}]")
-                stats = network.deliver(
-                    messages, recorder=recorder, faults=faults, ttl=ttl,
-                ) if not fault_mode else network.deliver_scheduled(
-                    [(0, m) for m in messages],
-                    recorder=recorder, faults=faults, ttl=ttl, fault_offset=base,
-                )
-                base += stats.cycles
+            for stats, _ in _run_supersteps(
+                network, program, embedding.phi,
+                recorder=recorder, faults=faults, ttl=ttl, report=report,
+            ):
                 per_step.append(stats.cycles)
                 max_traffic = max(max_traffic, stats.max_link_traffic)
                 max_queue = max(max_queue, stats.max_queue)
-                if fault_mode:
-                    _fold_report(report, stats)
-        result = ExecutionStats(
-            program=program.name,
-            host_name=host_name,
-            n_supersteps=program.n_supersteps,
-            n_messages=program.n_messages,
-            total_cycles=sum(per_step),
-            ideal_cycles=program.ideal_cycles(),
-            per_superstep_cycles=per_step,
-            max_link_traffic=max_traffic,
-            max_queue=max_queue,
-        )
-        return DegradedResult(result, report) if fault_mode else result
-    schedule = []
-    msg_id = 0
-    for k, step in enumerate(program.supersteps):
-        for src, dst in step:
-            schedule.append((k, Message(msg_id, embedding.phi[src], embedding.phi[dst])))
-            msg_id += 1
-    if observing:
-        recorder.begin_phase(f"{program.name}[pipelined]")
-    with span("simulate.on_host", program=program.name, host=host_name, mode="pipelined"):
-        stats = network.deliver_scheduled(schedule, recorder=recorder, faults=faults, ttl=ttl)
+    else:
+        schedule = [
+            (k, m)
+            for k, _, messages in _superstep_messages(program, embedding.phi)
+            for m in messages
+        ]
+        if recorder is not None and recorder.enabled:
+            recorder.begin_phase(f"{program.name}[pipelined]")
+        with span("simulate.on_host", program=program.name, host=host_name, mode="pipelined"):
+            stats = network.deliver_scheduled(schedule, recorder=recorder, faults=faults, ttl=ttl)
+        per_step = [stats.cycles]
+        max_traffic = stats.max_link_traffic
+        max_queue = stats.max_queue
+        if report is not None:
+            _fold_report(report, stats)
     result = ExecutionStats(
         program=program.name,
         host_name=host_name,
         n_supersteps=program.n_supersteps,
         n_messages=program.n_messages,
-        total_cycles=stats.cycles,
+        total_cycles=sum(per_step),
         ideal_cycles=program.ideal_cycles(),
-        per_superstep_cycles=[stats.cycles],
-        max_link_traffic=stats.max_link_traffic,
-        max_queue=stats.max_queue,
+        per_superstep_cycles=per_step,
+        max_link_traffic=max_traffic,
+        max_queue=max_queue,
     )
-    if fault_mode:
-        _fold_report(report, stats)
-        return DegradedResult(result, report)
-    return result
+    return DegradedResult(result, report) if fault_mode else result
 
 
 def simulate_on_guest(

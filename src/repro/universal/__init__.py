@@ -51,15 +51,14 @@ PAPER_DEGREE_BOUND = 25 * UNIVERSAL_SLOTS + (UNIVERSAL_SLOTS - 1)
 def largest_feasible_t(max_nodes: int | None = None) -> int:
     """Largest ``t`` whose G_n fits the vectorised engine's node bound.
 
-    ``max_nodes`` defaults to the effective dense-table bound
-    (:func:`repro.simulate.vector_engine.resolve_vector_max_nodes`), so
-    the answer tracks ``REPRO_VECTOR_MAX_NODES``.  At the stock bound of
-    2048 this is ``t = 11`` — ``n = 2032`` vertices.
+    ``max_nodes`` defaults to the dense-table bound
+    (:data:`repro.simulate.vector_engine.VECTOR_MAX_NODES`).  At its
+    value of 2048 this is ``t = 11`` — ``n = 2032`` vertices.
     """
     if max_nodes is None:
-        from ..simulate.vector_engine import resolve_vector_max_nodes
+        from ..simulate import vector_engine
 
-        max_nodes = resolve_vector_max_nodes()
+        max_nodes = vector_engine.VECTOR_MAX_NODES
     if max_nodes < universal_graph_size(5):
         raise ValueError(
             f"max_nodes {max_nodes} is below the smallest G_n "

@@ -50,6 +50,21 @@ class TestRecursiveBisection:
         assert rb > t1
 
 
+class TestQualityGap:
+    def test_chunk_gap_to_theorem1_grows_with_height(self):
+        """The E9 shape: baseline dilation grows with height, Theorem 1's
+        does not."""
+
+        def gap_at(r):
+            tree = make_tree("path", theorem1_guest_size(r), seed=0)
+            return (
+                order_chunk_embedding(tree).dilation()
+                - theorem1_embedding(tree).embedding.dilation()
+            )
+
+        assert gap_at(3) < gap_at(5)
+
+
 class TestIdentity:
     def test_complete_tree_identity(self):
         emb = complete_tree_identity(4)

@@ -221,13 +221,23 @@ class TestEngineIntegrity:
         net = SynchronousNetwork(XTree(3))
         net.corrupt_link((2, 0), VICTIM, 0.5, seed=1)
         net.flaky_link((2, 0), VICTIM, 0.5, seed=1)
-        assert net.link_corruption and net.link_flaky
+        integ = net.integrity
+        assert integ.corruption and integ.flaky and integ.active
         net.corrupt_link((2, 0), VICTIM, 0.0)
         net.flaky_link((2, 0), VICTIM, 0.0)
-        assert not net.link_corruption and not net.link_flaky
+        assert not integ.corruption and not integ.flaky and not integ.active
         net.corrupt_link((2, 0), VICTIM, 0.5, seed=1)
         net.restore_link((2, 0), VICTIM)
-        assert not net.link_corruption
+        assert not integ.corruption
+
+    def test_integrity_created_only_by_byzantine_state(self):
+        net = SynchronousNetwork(XTree(3))
+        net.corrupt_link((2, 0), VICTIM, 0.0)
+        net.fail_link((1, 0), (2, 0))
+        net.delay_link((2, 0), VICTIM, 2)
+        assert net.integrity is None
+        net.flaky_link((2, 0), VICTIM, 0.5)
+        assert net.integrity is not None and net.integrity.active
 
     def test_vector_blockers_name_byzantine_state(self):
         net = SynchronousNetwork(XTree(3))

@@ -11,8 +11,11 @@ from repro.networks import (
     Butterfly,
     CompleteBinaryTreeNet,
     CubeConnectedCycles,
+    DeBruijn,
     Grid2D,
     Hypercube,
+    ShuffleExchange,
+    XTree,
     hamming_distance,
 )
 from repro.networks.base import bfs_distance, bfs_distances_from
@@ -158,6 +161,21 @@ class TestGrid2D:
     def test_rejects_bad_dims(self):
         with pytest.raises(ValueError):
             Grid2D(0, 3)
+
+
+class TestBoundedDegreeFamilies:
+    @pytest.mark.parametrize(
+        "net_cls,dim", [(ShuffleExchange, 8), (DeBruijn, 8), (CubeConnectedCycles, 5)]
+    )
+    def test_connected_with_logarithmic_diameter(self, net_cls, dim):
+        net = net_cls(dim)
+        dist = net.distances_from(next(iter(net.nodes())))
+        assert len(dist) == net.n_nodes
+        assert max(dist.values()) <= 3 * dim
+
+    def test_xtree_neighbourhoods_count_every_edge_twice(self):
+        x = XTree(10)
+        assert sum(1 for v in x.nodes() for _ in x.neighbors(v)) == 2 * x.n_edges
 
 
 class TestTopologyProtocol:

@@ -160,6 +160,15 @@ class TestEndToEnd:
         with pytest.raises(ValueError, match="different guest"):
             simulate_on_host(reduction_program(tree_b), emb)
 
+    def test_r4_wave_slowdowns(self):
+        """E10 at r = 4: the reduction wave stays within dilation plus mild
+        queueing, and no program beats its ideal cycle count."""
+        tree = make_tree("random", theorem1_guest_size(4), seed=0)
+        emb = theorem1_embedding(tree).embedding
+        assert simulate_on_host(reduction_program(tree), emb).slowdown <= 6
+        prog = prefix_sum_program(tree)
+        assert simulate_on_host(prog, emb).total_cycles >= prog.ideal_cycles()
+
     def test_stats_fields(self):
         tree = make_tree("random", 48, seed=3)
         emb = theorem1_embedding(tree).embedding

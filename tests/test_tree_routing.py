@@ -17,7 +17,7 @@ import pytest
 from repro.analysis.oracle import DistanceOracle, oracle_for
 from repro.networks import CompleteBinaryTreeNet, GuestTreeNet, Topology
 from repro.simulate import PROGRAMS, Message, SynchronousNetwork, simulate_on_guest
-from repro.simulate.vector_engine import resolve_vector_max_nodes, vector_supported
+from repro.simulate.vector_engine import VECTOR_MAX_NODES, vector_supported
 from repro.trees import FAMILIES, make_tree
 
 SIZES = (1, 2, 3, 17, 46)
@@ -111,9 +111,14 @@ def test_guest_baseline_builds_no_dense_table(monkeypatch):
         assert oracle._next_hop is None and oracle._next_hop_edge is None
 
 
-def test_node_cap_applies_only_to_dense_hosts():
+def test_node_cap_applies_only_to_dense_hosts(monkeypatch):
+    import repro.simulate.engine as engine_mod
+    import repro.simulate.vector_engine as vec_mod
+
+    monkeypatch.setattr(vec_mod, "VECTOR_MAX_NODES", 1)
+    monkeypatch.setattr(engine_mod, "VECTOR_MAX_NODES", 1)
     tree = GuestTreeNet(make_tree("random", 40, seed=1))
-    net = SynchronousNetwork(tree, vector_max_nodes=1)
+    net = SynchronousNetwork(tree)
     assert vector_supported(net, None, None, None) is None
     stats = net.deliver_scheduled([(0, Message(0, 3, 30))], engine="vector")
     assert stats.delivery_cycle == {0: tree.tree.tree_distance(3, 30)}
@@ -125,7 +130,7 @@ def test_engines_agree_above_the_old_node_cap():
     """At r = 7 the guest tree has 4080 nodes, past the 2048-node dense
     cap: it now runs on the vector kernel, bit-identical to classic."""
     n = 16 * (2 ** 8 - 1)
-    assert n > resolve_vector_max_nodes()
+    assert n > VECTOR_MAX_NODES
     tree = make_tree("random", n, seed=7)
     for name, factory in sorted(PROGRAMS.items()):
         program = factory(tree)

@@ -172,11 +172,11 @@ class TestLiftOntoSlots:
 
 class TestLargestFeasible:
     def test_default_tracks_vector_bound(self):
-        from repro.simulate.vector_engine import resolve_vector_max_nodes
+        from repro.simulate.vector_engine import VECTOR_MAX_NODES
 
         t = largest_feasible_t()
-        assert universal_graph_size(t) <= resolve_vector_max_nodes()
-        assert universal_graph_size(t + 1) > resolve_vector_max_nodes()
+        assert universal_graph_size(t) <= VECTOR_MAX_NODES
+        assert universal_graph_size(t + 1) > VECTOR_MAX_NODES
 
     def test_explicit_bound(self):
         assert largest_feasible_t(2048) == 11

@@ -28,6 +28,20 @@ class TestTheorem1Exact:
         assert result.embedding.dilation() <= 3
         assert result.embedding.load_factor() == 16
 
+    @pytest.mark.parametrize(
+        "family,r", [("random", 5), ("remy", 5), ("path", 6), ("random", 7)]
+    )
+    def test_bounds_beyond_r4(self, family, r):
+        tree = make_tree(family, theorem1_guest_size(r), seed=0)
+        rep = theorem1_embedding(tree).embedding.report()
+        assert rep.dilation <= 3
+        assert rep.load_factor == 16
+
+    @pytest.mark.parametrize("family,r", [("random", 9), ("caterpillar", 8)])
+    def test_load_16_at_scale(self, family, r):
+        tree = make_tree(family, theorem1_guest_size(r), seed=0)
+        assert theorem1_embedding(tree).embedding.load_factor() == 16
+
     def test_wrong_size_rejected(self):
         tree = make_tree("random", 100, seed=0)
         with pytest.raises(ValueError, match="16"):
@@ -147,6 +161,45 @@ class TestEmbedConfig:
         assert bad.stats.final_spill_count > good.stats.final_spill_count
         # feasibility still guaranteed even without balancing
         assert bad.embedding.load_factor() == 16
+
+    def test_no_balance_costs_spills_dilation_and_3prime(self):
+        """Ablation: without the SPLIT balancing step leftovers explode,
+        dilation passes 3 and condition (3') collapses."""
+        from repro.core import condition_3prime_defects
+        from repro.core.xtree_embed import EmbedConfig
+
+        tree = make_tree("path", theorem1_guest_size(6), seed=5)
+        good = theorem1_embedding(tree)
+        bad = theorem1_embedding(tree, config=EmbedConfig(balance_children=False))
+        assert bad.stats.final_spill_count > 5 * good.stats.final_spill_count
+        assert bad.embedding.dilation() > good.embedding.dilation()
+        assert len(condition_3prime_defects(bad.embedding)) > len(
+            condition_3prime_defects(good.embedding)
+        )
+
+    def test_sideways_balance_moves_bring_back_3prime_defects(self):
+        """Ablation: re-attaching a child-anchored piece to its sibling
+        plants the geometry that lands outside N(sigma)."""
+        from repro.core import condition_3prime_defects
+        from repro.core.xtree_embed import EmbedConfig
+
+        tree = make_tree("zigzag", theorem1_guest_size(8), seed=5)
+        cfg = EmbedConfig(sideways_balance_moves=True, adjust_sigma_filter=False)
+        assert condition_3prime_defects(theorem1_embedding(tree, config=cfg).embedding)
+        assert condition_3prime_defects(theorem1_embedding(tree).embedding) == []
+
+    def test_neighbor_fill_strictly_fewer_spills(self):
+        from repro.core.xtree_embed import EmbedConfig
+
+        def spills(config):
+            return sum(
+                theorem1_embedding(
+                    make_tree(fam, theorem1_guest_size(6), seed=5), config=config
+                ).stats.final_spill_count
+                for fam in ("path", "caterpillar", "remy", "zigzag")
+            )
+
+        assert spills(EmbedConfig(neighbor_fill=True)) < spills(EmbedConfig())
 
     def test_config_is_frozen(self):
         import dataclasses
