@@ -41,9 +41,8 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 
-from repro.core.separators import lemma2_bound  # noqa: E402
 from repro.core.xtree_embed import theorem1_embedding  # noqa: E402
-from repro.separators import FlowSeparator  # noqa: E402
+from repro.separators import FlowSeparator, lemma2_bound  # noqa: E402
 from repro.simulate import PROGRAMS, simulate_on_guest, simulate_on_host  # noqa: E402
 from repro.trees.binary_tree import theorem1_guest_size  # noqa: E402
 from repro.trees.generators import make_tree  # noqa: E402

@@ -18,18 +18,11 @@ import time
 
 from repro.analysis import markdown_table
 from repro.core import (
-    UniversalGraph,
     complete_tree_identity,
     condition_3prime_defects,
-    embed_into_universal,
     injective_xtree_embedding,
-    lemma1_bound,
-    lemma1_split,
-    lemma2_bound,
-    lemma2_split,
     order_chunk_embedding,
     recursive_bisection_embedding,
-    spanning_defect,
     theorem1_embedding,
     theorem3_embedding,
     verify_figure1,
@@ -38,8 +31,10 @@ from repro.core import (
     verify_lemma3,
 )
 from repro.networks import XTree
+from repro.separators import lemma1_bound, lemma1_split, lemma2_bound, lemma2_split
 from repro.simulate import PROGRAMS, simulate_on_guest, simulate_on_host
 from repro.trees import FAMILIES, make_tree, theorem1_guest_size, theorem3_guest_size
+from repro.universal import UniversalGraph, embed_into_universal, spanning_defect
 
 BENCH_FAMILIES = (
     "complete", "path", "caterpillar", "random", "remy",

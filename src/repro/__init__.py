@@ -13,6 +13,10 @@ A full reproduction of the paper's constructions:
 * the separator lemmas, the X-tree/hypercube topologies, baselines, a
   synchronous network simulator, and verifiers for every claim.
 
+This module re-exports the names the examples and the README use; the
+rest live in their subpackages (:mod:`repro.core`, :mod:`repro.networks`,
+:mod:`repro.separators`, :mod:`repro.simulate`, :mod:`repro.universal`, ...).
+
 Quickstart::
 
     from repro import make_tree, theorem1_guest_size, theorem1_embedding
@@ -22,86 +26,45 @@ Quickstart::
     print(result.embedding.report())   # dilation <= 3, load 16
 """
 
+# ``.core`` is imported first on purpose: ``repro.networks`` registers
+# ``repro.universal``'s graph, and ``repro.universal`` imports core modules,
+# so core must already be initialising when networks is first loaded
+# (tests/test_imports.py checks every package as a first import).
 from .core import (
-    ClaimReport,
     EmbedConfig,
+    Embedding,
+    OnlineXTreeEmbedder,
     complete_tree_into_xtree,
-    embed_into_universal_padded,
+    condition_3prime_defects,
+    corollary_injective_hypercube,
     embedding_from_dict,
     embedding_to_dict,
+    expand_to_injective,
     gray_code,
     gray_rank,
     grid_into_hypercube,
-    load_embedding,
-    save_embedding,
-    universal_supergraph,
-    verify_imbalance_estimations,
-    replay_online,
-    OnlineXTreeEmbedder,
-    OnlineResult,
-    Embedding,
-    EmbeddingReport,
-    Separation,
-    UniversalGraph,
-    XTreeEmbeddingResult,
-    complete_tree_identity,
-    condition_3prime_defects,
-    corollary_injective_hypercube,
-    embed_binary_tree,
-    embed_into_universal,
-    expand_to_injective,
     injective_xtree_embedding,
     inorder_embedding,
-    lemma1_bound,
-    lemma1_split,
-    lemma2_bound,
-    lemma2_split,
+    load_embedding,
     order_chunk_embedding,
     recursive_bisection_embedding,
-    spanning_defect,
+    replay_online,
+    save_embedding,
     theorem1_embedding,
     theorem3_embedding,
-    universal_graph_size,
-    verify_corollary_q8,
-    verify_figure1,
-    verify_figure2,
-    verify_inorder,
-    verify_lemma3,
+    verify_imbalance_estimations,
     verify_theorem1,
-    verify_theorem2,
-    verify_theorem3,
-    verify_theorem4,
     xtree_to_hypercube_map,
 )
-from .networks import (
-    Butterfly,
-    CompleteBinaryTreeNet,
-    CubeConnectedCycles,
-    Grid2D,
-    Hypercube,
-    Topology,
-    XAddr,
-    XTree,
-    addr_from_string,
-    addr_to_string,
-    xtree_optimal_height,
-    xtree_size,
-)
-from .obs import NullRecorder, Recorder, TraceRecorder, span, span_summary
-from .simulate import (
-    PROGRAMS,
-    ExecutionStats,
-    SynchronousNetwork,
-    TreeProgram,
-    simulate_on_guest,
-    simulate_on_host,
-)
-from .trees import (
-    FAMILIES,
-    BinaryTree,
-    make_tree,
-    theorem1_guest_size,
-    theorem3_guest_size,
+from .networks import XTree, addr_to_string
+from .separators import lemma1_split, lemma2_split
+from .trees import make_tree, theorem1_guest_size, theorem3_guest_size
+from .universal import (
+    UniversalGraph,
+    embed_into_universal,
+    embed_into_universal_padded,
+    spanning_defect,
+    universal_supergraph,
 )
 
 __version__ = "1.0.0"
@@ -109,29 +72,14 @@ __version__ = "1.0.0"
 __all__ = [
     "__version__",
     # guests
-    "BinaryTree",
-    "FAMILIES",
     "make_tree",
     "theorem1_guest_size",
     "theorem3_guest_size",
     # hosts
-    "Topology",
     "XTree",
-    "XAddr",
     "addr_to_string",
-    "addr_from_string",
-    "xtree_size",
-    "xtree_optimal_height",
-    "Hypercube",
-    "CompleteBinaryTreeNet",
-    "CubeConnectedCycles",
-    "Butterfly",
-    "Grid2D",
     # embeddings & results
     "Embedding",
-    "EmbeddingReport",
-    "XTreeEmbeddingResult",
-    "embed_binary_tree",
     "theorem1_embedding",
     "EmbedConfig",
     "injective_xtree_embedding",
@@ -141,37 +89,22 @@ __all__ = [
     "inorder_embedding",
     "xtree_to_hypercube_map",
     "UniversalGraph",
-    "universal_graph_size",
     "embed_into_universal",
     "embed_into_universal_padded",
     "universal_supergraph",
     "spanning_defect",
     # separators
-    "Separation",
     "lemma1_split",
     "lemma2_split",
-    "lemma1_bound",
-    "lemma2_bound",
     # baselines
     "order_chunk_embedding",
     "recursive_bisection_embedding",
-    "complete_tree_identity",
     # verification
-    "ClaimReport",
     "verify_theorem1",
-    "verify_theorem2",
-    "verify_theorem3",
-    "verify_corollary_q8",
-    "verify_theorem4",
-    "verify_lemma3",
-    "verify_inorder",
-    "verify_figure1",
-    "verify_figure2",
     "condition_3prime_defects",
     "verify_imbalance_estimations",
     "replay_online",
     "OnlineXTreeEmbedder",
-    "OnlineResult",
     # context constructions & serialization
     "gray_code",
     "gray_rank",
@@ -181,17 +114,4 @@ __all__ = [
     "embedding_from_dict",
     "save_embedding",
     "load_embedding",
-    # simulation
-    "SynchronousNetwork",
-    "TreeProgram",
-    "PROGRAMS",
-    "simulate_on_host",
-    "simulate_on_guest",
-    "ExecutionStats",
-    # observability
-    "Recorder",
-    "NullRecorder",
-    "TraceRecorder",
-    "span",
-    "span_summary",
 ]

@@ -44,8 +44,8 @@ from ..networks.binary_tree_net import CompleteBinaryTreeNet
 from ..obs import counter_inc, span
 from ..networks.grid import Grid2D
 from ..networks.hypercube import Hypercube
-from ..networks.universal import UNIVERSAL_SLOTS, UniversalGraph
 from ..networks.xtree import XTree
+from ..universal import UNIVERSAL_SLOTS, UniversalGraph
 
 __all__ = [
     "DistanceOracle",

@@ -1,4 +1,8 @@
-"""The paper's results: embeddings, separators, universal graphs, verifiers."""
+"""The paper's results: embeddings, baselines, verifiers.
+
+The Lemma 1/2 separators live in :mod:`repro.separators` and Theorem 4's
+universal graph in :mod:`repro.universal`.
+"""
 
 from .context import (
     complete_tree_into_xtree,
@@ -12,13 +16,13 @@ from .serialization import (
     load_embedding,
     save_embedding,
 )
-from .online import OnlineResult, OnlineXTreeEmbedder, replay_online
+from .online import OnlineXTreeEmbedder, replay_online
 from .baselines import (
     complete_tree_identity,
     order_chunk_embedding,
     recursive_bisection_embedding,
 )
-from .embedding import Embedding, EmbeddingReport
+from .embedding import Embedding
 from .hypercube_embed import (
     corollary_injective_hypercube,
     inorder_embedding,
@@ -26,24 +30,7 @@ from .hypercube_embed import (
     xtree_to_hypercube_map,
 )
 from .injective import expand_to_injective, injective_xtree_embedding
-from .intervals import LayoutState, LayoutStats, Piece
-from .separators import (
-    Separation,
-    lemma1_bound,
-    lemma1_split,
-    lemma2_bound,
-    lemma2_split,
-)
-from .universal import (
-    UniversalGraph,
-    embed_into_universal,
-    embed_into_universal_padded,
-    spanning_defect,
-    universal_graph_size,
-    universal_supergraph,
-)
 from .verification import (
-    ClaimReport,
     verify_imbalance_estimations,
     condition_3prime_defects,
     verify_corollary_q8,
@@ -58,23 +45,12 @@ from .verification import (
 )
 from .xtree_embed import (
     EmbedConfig,
-    XTreeEmbeddingResult,
     embed_binary_tree,
     theorem1_embedding,
 )
 
 __all__ = [
     "Embedding",
-    "EmbeddingReport",
-    "Separation",
-    "lemma1_split",
-    "lemma2_split",
-    "lemma1_bound",
-    "lemma2_bound",
-    "LayoutState",
-    "LayoutStats",
-    "Piece",
-    "XTreeEmbeddingResult",
     "EmbedConfig",
     "embed_binary_tree",
     "theorem1_embedding",
@@ -84,16 +60,9 @@ __all__ = [
     "xtree_to_hypercube_map",
     "theorem3_embedding",
     "corollary_injective_hypercube",
-    "UniversalGraph",
-    "universal_graph_size",
-    "embed_into_universal",
-    "embed_into_universal_padded",
-    "universal_supergraph",
-    "spanning_defect",
     "order_chunk_embedding",
     "recursive_bisection_embedding",
     "complete_tree_identity",
-    "ClaimReport",
     "verify_theorem1",
     "verify_theorem2",
     "verify_theorem3",
@@ -114,6 +83,5 @@ __all__ = [
     "save_embedding",
     "load_embedding",
     "OnlineXTreeEmbedder",
-    "OnlineResult",
     "replay_online",
 ]

@@ -30,7 +30,6 @@ from .xtree_embed import theorem1_embedding
 __all__ = [
     "inorder_embedding",
     "xtree_to_hypercube_map",
-    "xtree_into_hypercube",
     "theorem3_embedding",
     "corollary_injective_hypercube",
 ]

@@ -24,8 +24,8 @@ from ..networks.grid import Grid2D
 from ..networks.hypercube import Hypercube
 from ..networks.xtree import XTree
 from ..trees.binary_tree import BinaryTree
+from ..universal import UniversalGraph
 from .embedding import Embedding
-from .universal import UniversalGraph
 
 __all__ = ["embedding_to_dict", "embedding_from_dict", "save_embedding", "load_embedding"]
 

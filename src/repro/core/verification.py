@@ -19,6 +19,7 @@ from ..networks.hypercube import hamming_distance
 from ..obs import timed
 from ..networks.xtree import XAddr, XTree
 from ..trees.binary_tree import BinaryTree
+from ..universal import UniversalGraph, embed_into_universal, spanning_defect
 from .embedding import Embedding
 from .hypercube_embed import (
     corollary_injective_hypercube,
@@ -27,7 +28,6 @@ from .hypercube_embed import (
     xtree_to_hypercube_map,
 )
 from .injective import injective_xtree_embedding
-from .universal import UniversalGraph, embed_into_universal, spanning_defect
 from .xtree_embed import theorem1_embedding
 
 __all__ = [

@@ -39,10 +39,10 @@ from dataclasses import dataclass, field
 
 from ..networks.xtree import XAddr, XTree, xtree_size
 from ..obs.spans import span
+from ..separators import make_separator
 from ..trees.binary_tree import BinaryTree, theorem1_guest_size
 from .embedding import Embedding
 from .intervals import LayoutState, LayoutStats, Piece
-from .separators import lemma2_split
 
 __all__ = ["EmbedConfig", "XTreeEmbeddingResult", "embed_binary_tree", "theorem1_embedding"]
 
@@ -160,16 +160,12 @@ def embed_binary_tree(
     original guest.
 
     ``separator`` selects the split strategy for the ADJUST/SPLIT phases:
-    ``None`` (the built-in Lemma 2 call), a registry name (``"paper"``,
-    ``"flow"``), or a :class:`repro.separators.Separator` instance.
-    ``None`` and ``"paper"`` produce bit-identical embeddings.
+    a registry name (``"paper"``, ``"flow"``), a
+    :class:`repro.separators.Separator` instance, or ``None`` (the paper's
+    Lemma 2, same as ``"paper"``).
     """
     if capacity < 2:
         raise ValueError(f"capacity must be at least 2, got {capacity}")
-    if separator is not None:
-        from ..separators import make_separator
-
-        separator = make_separator(separator)
     if height is None:
         height = 0
         while capacity * xtree_size(height) < tree.n:
@@ -201,7 +197,7 @@ class _XTreeEmbedder:
         separator=None,
     ):
         self.config = config or EmbedConfig()
-        self.separator = separator
+        self.separator = make_separator(separator)
         self.tree = tree
         self.r = r
         self.capacity = capacity
@@ -349,12 +345,7 @@ class _XTreeEmbedder:
             return
         r1 = piece.designated[0]
         r2 = piece.designated[-1]
-        if self.separator is None:
-            sep = lemma2_split(self.tree, r1, r2, delta, universe=piece.nodes)
-        else:
-            sep = self.separator.split(
-                self.tree, r1, r2, delta, universe=piece.nodes
-            )
+        sep = self.separator.split(self.tree, r1, r2, delta, universe=piece.nodes)
         state.stats.separator_promotions += sep.n_promotions
         need_stay = len(sep.s1)
         need_move = len(sep.s2)

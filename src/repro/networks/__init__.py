@@ -14,7 +14,6 @@ from .grid import Grid2D
 from .guest_tree import GuestTreeNet
 from .hypercube import Hypercube, hamming_distance
 from .shuffle import DeBruijn, ShuffleExchange
-from .universal import UniversalGraph, universal_graph_size
 from .xtree import (
     XAddr,
     XTree,
@@ -23,6 +22,9 @@ from .xtree import (
     xtree_optimal_height,
     xtree_size,
 )
+# G_n lives in repro.universal, which imports networks submodules back; the
+# cycle resolves because repro/__init__ loads .core first
+from ..universal import UniversalGraph
 
 #: Registry of every host topology, keyed by its ``Topology.name``.  The
 #: oracle tests and benchmark harness sweep over this to prove properties on
@@ -83,8 +85,6 @@ __all__ = [
     "Grid2D",
     "ShuffleExchange",
     "DeBruijn",
-    "UniversalGraph",
-    "universal_graph_size",
     "TOPOLOGIES",
     "registry_instances",
 ]

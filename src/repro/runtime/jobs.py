@@ -16,11 +16,10 @@ from typing import Any
 
 from .._util import node_from_json, node_to_json
 from ..core.embedding import Embedding
-from ..core.universal import lift_onto_slots
 from ..core.xtree_embed import embed_binary_tree
-from ..networks.universal import UNIVERSAL_SLOTS, UniversalGraph
 from ..simulate.programs import PROGRAMS
 from ..trees import make_tree
+from ..universal import UNIVERSAL_SLOTS, UniversalGraph, lift_onto_slots
 
 __all__ = ["JobSpec", "Job", "JOB_STATUSES"]
 

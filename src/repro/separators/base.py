@@ -5,9 +5,9 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from collections.abc import Collection
 
-from ..core.separators import Separation, lemma2_split
 from ..obs.spans import counter_inc, span
 from ..trees.binary_tree import BinaryTree
+from .lemmas import Separation, lemma2_split
 
 __all__ = ["Separator", "PaperSeparator", "make_separator"]
 
@@ -42,10 +42,9 @@ class Separator(ABC):
 class PaperSeparator(Separator):
     """Lemmas 1/2 exactly as the pipeline has always run them.
 
-    A thin instrumented wrapper around
-    :func:`repro.core.separators.lemma2_split`; the returned separation
-    is bit-identical to the un-wrapped call, so selecting
-    ``--separator paper`` reproduces the default pipeline exactly.
+    A thin instrumented wrapper around :func:`~.lemmas.lemma2_split`;
+    the returned separation is bit-identical to the un-wrapped call.
+    It is the embedder's default separator.
     """
 
     name = "paper"
@@ -67,14 +66,16 @@ class PaperSeparator(Separator):
         return sep
 
 
-def make_separator(which: "str | Separator | None") -> "Separator | None":
+def make_separator(which: "str | Separator | None") -> Separator:
     """Resolve a CLI/user separator choice to an instance.
 
     Accepts a registry name (``"paper"``/``"flow"``), an instance
-    (returned unchanged), or ``None`` (the embedder's built-in Lemma 2
-    path, also bit-identical to ``"paper"``).
+    (returned unchanged), or ``None`` (a :class:`PaperSeparator`, the
+    default).
     """
-    if which is None or isinstance(which, Separator):
+    if which is None:
+        return PaperSeparator()
+    if isinstance(which, Separator):
         return which
     from . import SEPARATORS
 

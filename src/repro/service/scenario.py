@@ -102,6 +102,12 @@ class Scenario:
                 f"unknown host topology {self.host_name!r}: "
                 f"expected one of {sorted(TOPOLOGIES)}"
             )
+        # every registry constructor is cheap, so building the host here
+        # rejects bad args at submission instead of on a worker
+        try:
+            TOPOLOGIES[self.host_name](*self.host_args)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"host.args: {exc}") from exc
         if not self.jobs:
             raise ValueError(f"scenario {self.name!r} has no jobs")
         # inline documents are validated (and canonicalised) via PolicyDoc

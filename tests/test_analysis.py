@@ -123,8 +123,10 @@ class TestSpeedscope:
         assert names.count("embed.split") == 3
         prof = to_speedscope()
         self._valid_profile(prof)
+        # the default separator is PaperSeparator, whose splits are spans
         assert {f["name"] for f in prof["shared"]["frames"]} == {
             "embed.round0", "embed.adjust", "embed.split", "embed.finalize",
+            "separator.split",
         }
         json.dumps(prof)  # JSON-safe
 

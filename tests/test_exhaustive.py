@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import embed_binary_tree, lemma1_bound, lemma1_split, lemma2_bound, lemma2_split
+from repro.core import embed_binary_tree
+from repro.separators import lemma1_bound, lemma1_split, lemma2_bound, lemma2_split
 from repro.trees import (
     canonical_form,
     components_after_removal,

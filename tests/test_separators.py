@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.separators import (
+from repro.separators import (
     Separation,
     lemma1_bound,
     lemma1_split,
@@ -216,7 +216,7 @@ class TestFind1Walk:
     @given(binary_trees(min_nodes=4, max_nodes=150), st.data())
     @settings(max_examples=80, deadline=None)
     def test_walk_lands_in_band(self, tree, data):
-        from repro.core.separators import _Piece
+        from repro.separators.lemmas import _Piece
 
         root = tree.root
         if tree.degree(root) > 2:

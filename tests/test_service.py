@@ -77,6 +77,14 @@ def json_roundtrip(obj):
     return json.loads(json.dumps(obj))
 
 
+#: host args each registry constructor rejects, wrong type, arity or value
+BAD_HOST_ARGS = (["x"], [], [1, 2, 3, 4], [7, "bogus"])
+
+
+def bad_host_doc(args) -> dict:
+    return doc(host={"name": "universal", "args": args})
+
+
 class TestScenario:
     def test_roundtrip_identity(self):
         sc = Scenario.from_obj(FAULT_DOC)
@@ -117,6 +125,11 @@ class TestScenario:
             Scenario.from_obj(doc(priority=0))
         with pytest.raises(ValueError, match="checkpoint_every"):
             Scenario.from_obj(doc(checkpoint_every=0))
+
+    @pytest.mark.parametrize("args", BAD_HOST_ARGS)
+    def test_bad_host_args_rejected(self, args):
+        with pytest.raises(ValueError, match=r"^host\.args: "):
+            Scenario.from_obj(bad_host_doc(args))
 
     def test_duplicate_job_names_rejected(self):
         jobs = [dict(BASE_DOC["jobs"][0]), dict(BASE_DOC["jobs"][0])]
@@ -371,6 +384,13 @@ class TestApi:
             assert e.status == 409
         assert service.healthz()
         assert service.fleet()["n_shards"] == 2
+
+    def test_bad_host_args_are_400(self, service):
+        for args in BAD_HOST_ARGS:
+            with pytest.raises(ServiceError) as exc:
+                service.submit(bad_host_doc(args))
+            assert exc.value.status == 400
+            assert "host.args: " in str(exc.value)
 
 
 class TestServiceCLI:

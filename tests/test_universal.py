@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import (
+from repro.trees import make_tree
+from repro.universal import (
     UniversalGraph,
     embed_into_universal,
     spanning_defect,
     universal_graph_size,
 )
-from repro.trees import make_tree
 
 
 class TestConstruction:

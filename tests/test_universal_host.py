@@ -40,6 +40,18 @@ class TestTopologyRegistry:
         again = TOPOLOGIES["universal"](*host.spec_args)
         assert again.n_nodes == host.n_nodes
 
+    def test_spec_args_keep_non_default_mode_and_radius(self):
+        for host, args in (
+            (UniversalGraph(8, mode="radius"), (8, "radius")),
+            (UniversalGraph(8, mode="radius", radius=2), (8, "radius", 2)),
+            (UniversalGraph(8, radius=4), (8, "paper", 4)),
+        ):
+            assert host.spec_args == args
+            again = TOPOLOGIES["universal"](*host.spec_args)
+            assert (again.t, again.mode, again.radius) == (
+                host.t, host.mode, host.radius
+            )
+
     def test_paper_degree_bound_constant(self):
         assert PAPER_DEGREE_BOUND == 25 * UNIVERSAL_SLOTS + 15 == 415
 
@@ -154,6 +166,18 @@ class TestRuntimeHost:
                 r.step()
         assert rt.checkpoint() == rt2.checkpoint()
 
+    def test_radius_mode_checkpoint_restores_radius_mode(self):
+        rt = Runtime(UniversalGraph(8, mode="radius"))
+        rt.admit(self._spec(tree_n=240))
+        for _ in range(3):
+            rt.step()
+        state = json.loads(json.dumps(rt.checkpoint()))
+        assert state["host"] == {"name": "universal", "args": [8, "radius"]}
+        rt2 = Runtime.restore(state)
+        assert rt2.host.mode == "radius"
+        assert rt2.host.max_degree() == rt.host.max_degree()
+        assert rt2.run().as_dict() == rt.run().as_dict()
+
 
 class TestLiftOntoSlots:
     def test_lift_is_injective(self):
@@ -178,13 +202,20 @@ class TestLargestFeasible:
         assert universal_graph_size(t) <= VECTOR_MAX_NODES
         assert universal_graph_size(t + 1) > VECTOR_MAX_NODES
 
-    def test_explicit_bound(self):
-        assert largest_feasible_t(2048) == 11
-        assert largest_feasible_t(112) == 7
+    def test_explicit_bound(self, monkeypatch):
+        from repro.simulate import vector_engine
 
-    def test_too_small_rejected(self):
+        monkeypatch.setattr(vector_engine, "VECTOR_MAX_NODES", 2048)
+        assert largest_feasible_t() == 11
+        monkeypatch.setattr(vector_engine, "VECTOR_MAX_NODES", 112)
+        assert largest_feasible_t() == 7
+
+    def test_too_small_rejected(self, monkeypatch):
+        from repro.simulate import vector_engine
+
+        monkeypatch.setattr(vector_engine, "VECTOR_MAX_NODES", 10)
         with pytest.raises(ValueError, match="below the smallest"):
-            largest_feasible_t(10)
+            largest_feasible_t()
 
 
 class TestShippedScenario:
