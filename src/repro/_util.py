@@ -7,14 +7,17 @@ focused on the domain.
 
 from __future__ import annotations
 
+import os
 import random
 from collections.abc import Iterable, Sequence
+from pathlib import Path
 from typing import TypeVar
 
 T = TypeVar("T")
 
 __all__ = [
     "as_rng",
+    "atomic_write_text",
     "check_nonnegative",
     "check_positive",
     "is_power_of_two",
@@ -46,6 +49,19 @@ def node_from_json(value):
     if isinstance(value, list):
         return tuple(node_from_json(v) for v in value)
     return value
+
+
+def atomic_write_text(path, text: str) -> None:
+    """Write ``text`` to ``path`` via a tmp file and an atomic rename.
+
+    A process killed at any instant leaves either the old file or the new
+    one, never a torn one.  The tmp name carries the writer's pid, so
+    concurrent writers never share a tmp file.
+    """
+    path = Path(path)
+    tmp = path.with_name(path.name + f".tmp{os.getpid()}")
+    tmp.write_text(text)
+    tmp.replace(path)
 
 
 def as_rng(seed: int | random.Random | None) -> random.Random:

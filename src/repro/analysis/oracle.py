@@ -220,7 +220,7 @@ class DistanceOracle:
         self._tree = _TreeRoutes(indptr, self.indices) if topology.is_tree else None
         self._row_cache: OrderedDict[int, np.ndarray] = OrderedDict()
         self._closed_form = topology.has_closed_form_distance
-        #: dense routing tables, built lazily by :meth:`next_hop_matrix`
+        #: dense routing tables, built lazily by :meth:`next_hop_tables`
         #: and memoised alongside the row cache (one per oracle lifetime)
         self._next_hop: np.ndarray | None = None
         self._next_hop_edge: np.ndarray | None = None
@@ -453,29 +453,19 @@ class DistanceOracle:
             self._build_next_hop_tables()
         return self._next_hop.item(u, d)
 
-    def next_hop_matrix(self) -> np.ndarray:
-        """Dense deterministic routing table ``NH[u, d]`` over the fault-free
-        topology, as an ``(n, n)`` int32 matrix of canonical indices.
-
-        ``NH[u, d]`` is the neighbour of ``u`` that lies on a shortest path
-        towards ``d``, with ties broken towards the smallest canonical
-        index — exactly the policy of
-        :meth:`repro.simulate.engine.SynchronousNetwork.next_hop` (and
-        hence :class:`~repro.simulate.routing.ShortestPathRouter`) on a
-        network with no failed links.  Entries with no next hop (``u == d``
-        or ``d`` unreachable) hold ``-1``.
-
-        Built once from :meth:`all_pairs` and memoised for the oracle's
-        lifetime, like the LRU row cache but a single object: both
-        :meth:`next_hop` and :meth:`next_hops` gather from the same matrix
-        on every topology that is not a tree.
-        """
-        if self._next_hop is None:
-            self._build_next_hop_tables()
-        return self._next_hop
-
     def next_hop_tables(self) -> tuple[np.ndarray, np.ndarray]:
         """``(next_hop, edge_id)`` matrices for the vectorised engine.
+
+        ``NH = next_hop`` is the dense deterministic routing table over
+        the fault-free topology, an ``(n, n)`` int32 matrix of canonical
+        indices: ``NH[u, d]`` is the neighbour of ``u`` on a shortest path
+        towards ``d``, ties broken towards the smallest canonical index —
+        exactly :meth:`repro.simulate.engine.SynchronousNetwork.next_hop`
+        on a network with no failed links.  ``-1`` where there is no hop
+        (``u == d`` or ``d`` unreachable).  Built once from
+        :meth:`all_pairs` and memoised for the oracle's lifetime; both
+        :meth:`next_hop` and :meth:`next_hops` gather from it on every
+        topology that is not a tree.
 
         ``edge_id[u, d]`` is the *directed-edge identifier* of the link
         ``(u, NH[u, d])`` — its position in the CSR ``indices`` array — so

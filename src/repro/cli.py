@@ -17,13 +17,14 @@ Subcommands
             degraded-mode fault report (exit 1 if messages were lost),
             ``--ttl N`` bounds each message's cycles in flight.
 ``runtime`` multiplex several guest programs on one host network
-            (``repro.runtime``): a JSON job config names the host and the
-            job specs; ``--faults`` plays a fault schedule on the global
-            clock (node deaths repair online and migrate stranded
-            messages); ``--checkpoint PATH`` resumes from the file when it
-            exists and rewrites it as the run progresses — kill the
-            process at any point and re-run the same command to continue
-            bit-identically.
+            (``repro.runtime``): a scenario document (``repro.service``)
+            names the host, the job specs and the runtime knobs, which
+            flags override only when given; ``--faults`` plays a fault
+            schedule on the global clock (node deaths repair online and
+            migrate stranded messages); ``--checkpoint PATH`` resumes
+            from the file when it exists and rewrites it as the run
+            progresses — kill the process at any point and re-run the
+            same command to continue bit-identically.
 ``tune``    search a parametric policy template (``repro.policy.tune``)
             against scenario workloads and write the winning
             decision-tree document plus a reproducible tuning log.
@@ -222,10 +223,11 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_runtime(args) -> int:
     import json
+    from dataclasses import replace
 
-    from .networks import TOPOLOGIES
     from .obs import NullRecorder, TraceRecorder
     from .runtime import AdmissionError, JobSpec, Runtime
+    from .service import Scenario
     from .simulate.faults import RepairError
 
     observing = bool(args.trace or args.metrics)
@@ -233,8 +235,8 @@ def _cmd_runtime(args) -> int:
 
     ckpt = Path(args.checkpoint) if args.checkpoint else None
     if ckpt is not None and ckpt.exists():
-        # resume: the checkpoint is the complete state; jobs.json only
-        # seeded the original run
+        # resume: the checkpoint is the complete state; the scenario only
+        # seeded the original run, so the driving knobs come from the flags
         try:
             rt = Runtime.restore_json(ckpt, recorder=recorder)
         except (OSError, ValueError, KeyError, TypeError) as exc:
@@ -242,53 +244,44 @@ def _cmd_runtime(args) -> int:
             return 1
         print(f"resumed from {ckpt}: cycle {rt.cycle}, "
               f"{len(rt.active_jobs())}/{len(rt.jobs)} jobs still active")
+        batch = args.batch
+        every = args.checkpoint_every or Scenario.checkpoint_every
     else:
         try:
-            config = json.loads(Path(args.config).read_text())
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot load job config {args.config}: {exc}", file=sys.stderr)
+            scenario = Scenario.from_json(args.config)
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            print(f"error: bad job config {args.config}: {exc}", file=sys.stderr)
             return 1
-        faults = None
+        # flags override the document only when given
+        flags = {"engine": args.engine, "checkpoint_every": args.checkpoint_every,
+                 "batch": args.batch or None}
         if args.faults:
             from .simulate import FaultSchedule
 
             try:
-                faults = FaultSchedule.from_json(Path(args.faults))
+                flags["faults"] = FaultSchedule.from_json(Path(args.faults))
             except (OSError, ValueError, KeyError, TypeError) as exc:
                 print(f"error: cannot load fault schedule {args.faults}: {exc}",
                       file=sys.stderr)
                 return 1
-        router_spec = config.get("router")
-        policy_spec = config.get("policy")
-        if args.policy:
-            doc = _load_policy_doc(args.policy)
-            if doc is None:
-                return 1
-            # the document's domain says which knob it replaces
-            if doc.domain == "routing":
-                router_spec = doc.as_dict()
-            else:
-                policy_spec = doc.as_dict()
+        doc = _load_policy_doc(args.policy) if args.policy else None
+        if args.policy and doc is None:
+            return 1
         try:
-            host_spec = config["host"]
-            host = TOPOLOGIES[host_spec["name"]](*host_spec.get("args", []))
-            rt = Runtime(
-                host,
-                router=router_spec,
-                faults=faults,
-                recorder=recorder,
-                policy=policy_spec,
-                max_load=config.get("max_load", 16),
-                link_capacity=config.get("link_capacity", 1),
-                engine=args.engine,
+            scenario = replace(
+                scenario, **{k: v for k, v in flags.items() if v is not None}
             )
-            for spec in config["jobs"]:
-                rt.admit(JobSpec.from_obj(spec))
-        except (KeyError, TypeError, ValueError, AdmissionError) as exc:
+            if doc is not None:
+                from .policy import apply_policy
+
+                scenario = apply_policy(scenario, doc)
+            rt = scenario.build_runtime(recorder=recorder)
+        except (ValueError, AdmissionError) as exc:
             print(f"error: bad job config {args.config}: {exc}", file=sys.stderr)
             return 1
-        print(f"admitted {len(rt.jobs)} jobs on {host.name} "
+        print(f"admitted {len(rt.jobs)} jobs on {rt.host.name} "
               f"(policy {rt.policy.name}, max load {rt.max_load})")
+        batch, every = scenario.batch, scenario.checkpoint_every
 
     admissions = []
     for entry in args.admit_at or ():
@@ -308,9 +301,9 @@ def _cmd_runtime(args) -> int:
     try:
         res = drive_runtime(
             rt,
-            batch=args.batch,
+            batch=batch,
             checkpoint_path=ckpt,
-            checkpoint_every=args.checkpoint_every,
+            checkpoint_every=every,
             admissions=admissions,
         )
     except RepairError as exc:
@@ -637,20 +630,23 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_rt.add_argument(
         "config",
-        help="JSON job config: {host: {name, args}, jobs: [JobSpec...], "
-             "policy?, router?, max_load?, link_capacity?}",
+        help="scenario document (see examples/SCENARIOS.md): host, jobs and "
+             "runtime knobs; the flags below override it only when given",
     )
     p_rt.add_argument("--faults", metavar="PATH",
-                      help="JSON fault schedule played on the runtime's global clock; "
-                           "node deaths trigger online repair + message migration")
+                      help="JSON fault schedule played on the runtime's global clock "
+                           "(replaces the scenario's); node deaths trigger online "
+                           "repair + message migration")
     p_rt.add_argument("--checkpoint", metavar="PATH",
-                      help="checkpoint file: restored (and the job config ignored) if it "
+                      help="checkpoint file: restored (and the scenario ignored) if it "
                            "already exists, rewritten during and after the run")
-    p_rt.add_argument("--checkpoint-every", type=int, default=10, metavar="N",
-                      help="rewrite the checkpoint every N supersteps (default 10)")
+    p_rt.add_argument("--checkpoint-every", type=int, metavar="N",
+                      help="rewrite the checkpoint every N supersteps "
+                           "(default: the scenario's, 10)")
     p_rt.add_argument(
-        "--engine", choices=list(ENGINES), default="auto",
-        help="delivery engine for the shared network (see 'simulate --engine')",
+        "--engine", choices=list(ENGINES),
+        help="delivery engine for the shared network (see 'simulate --engine'; "
+             "default: the scenario's, auto)",
     )
     p_rt.add_argument(
         "--batch", action="store_true",
@@ -665,7 +661,7 @@ def main(argv: list[str] | None = None) -> int:
                       help="print per-cycle metrics, timing spans and counters")
     p_rt.add_argument("--policy", metavar="FILE",
                       help="policy document (repro.policy JSON): its domain decides "
-                           "whether it replaces the config's router (routing) or "
+                           "whether it replaces the scenario's router (routing) or "
                            "scheduler (scheduling); ignored when resuming from a "
                            "checkpoint, which already carries its policies")
     p_rt.add_argument("--admit-at", action="append", metavar="CYCLE,SPEC.json",

@@ -6,7 +6,8 @@ routing table a runtime system would ship; this module round-trips
 stable JSON document:
 
 * the guest as its parent array,
-* the host as a ``(type, parameters)`` descriptor,
+* the host as its constructor recipe (``type`` plus named parameters,
+  see :meth:`repro.networks.Topology.spec`),
 * the mapping as one host *canonical index* per guest node (so the file
   stays flat regardless of how exotic the host's node labels are).
 """
@@ -17,56 +18,13 @@ import json
 from pathlib import Path
 from typing import Any
 
-from ..networks.binary_tree_net import CompleteBinaryTreeNet
-from ..networks.butterfly import Butterfly
-from ..networks.ccc import CubeConnectedCycles
-from ..networks.grid import Grid2D
-from ..networks.hypercube import Hypercube
-from ..networks.xtree import XTree
+from ..networks import build_host
 from ..trees.binary_tree import BinaryTree
-from ..universal import UniversalGraph
 from .embedding import Embedding
 
 __all__ = ["embedding_to_dict", "embedding_from_dict", "save_embedding", "load_embedding"]
 
 _FORMAT_VERSION = 1
-
-
-def _host_descriptor(host) -> dict[str, Any]:
-    if isinstance(host, XTree):
-        return {"type": "xtree", "height": host.height}
-    if isinstance(host, Hypercube):
-        return {"type": "hypercube", "dimension": host.dimension}
-    if isinstance(host, CompleteBinaryTreeNet):
-        return {"type": "complete-binary-tree", "height": host.height}
-    if isinstance(host, Grid2D):
-        return {"type": "grid2d", "rows": host.rows, "cols": host.cols}
-    if isinstance(host, CubeConnectedCycles):
-        return {"type": "ccc", "dimension": host.dimension}
-    if isinstance(host, Butterfly):
-        return {"type": "butterfly", "dimension": host.dimension}
-    if isinstance(host, UniversalGraph):
-        return {"type": "universal", "t": host.t, "mode": host.mode, "radius": host.radius}
-    raise TypeError(f"cannot serialise host of type {type(host).__name__}")
-
-
-def _host_from_descriptor(desc: dict[str, Any]):
-    kind = desc.get("type")
-    if kind == "xtree":
-        return XTree(desc["height"])
-    if kind == "hypercube":
-        return Hypercube(desc["dimension"])
-    if kind == "complete-binary-tree":
-        return CompleteBinaryTreeNet(desc["height"])
-    if kind == "grid2d":
-        return Grid2D(desc["rows"], desc["cols"])
-    if kind == "ccc":
-        return CubeConnectedCycles(desc["dimension"])
-    if kind == "butterfly":
-        return Butterfly(desc["dimension"])
-    if kind == "universal":
-        return UniversalGraph(desc["t"], mode=desc.get("mode", "paper"), radius=desc.get("radius", 3))
-    raise ValueError(f"unknown host type {kind!r}")
 
 
 def embedding_to_dict(embedding: Embedding) -> dict[str, Any]:
@@ -75,7 +33,9 @@ def embedding_to_dict(embedding: Embedding) -> dict[str, Any]:
     return {
         "format": _FORMAT_VERSION,
         "guest_parent": list(embedding.guest.parent_array),
-        "host": _host_descriptor(host),
+        # the host's recipe with its parameters named, e.g.
+        # {"type": "grid2d", "rows": 3, "cols": 5}
+        "host": {"type": host.name, **dict(zip(host.params, host.spec_args))},
         "phi": [host.index(embedding.phi[v]) for v in embedding.guest.nodes()],
     }
 
@@ -85,7 +45,8 @@ def embedding_from_dict(doc: dict[str, Any]) -> Embedding:
     if doc.get("format") != _FORMAT_VERSION:
         raise ValueError(f"unsupported format version {doc.get('format')!r}")
     guest = BinaryTree(doc["guest_parent"])
-    host = _host_from_descriptor(doc["host"])
+    params = dict(doc["host"])
+    host = build_host(params.pop("type", None), params)
     phi_idx = doc["phi"]
     if len(phi_idx) != guest.n:
         raise ValueError(f"phi has {len(phi_idx)} entries for {guest.n} guest nodes")

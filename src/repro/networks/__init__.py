@@ -6,6 +6,8 @@ or reproduce the introduction's context (complete binary tree, grid,
 cube-connected cycles, butterfly).
 """
 
+from collections.abc import Mapping, Sequence
+
 from .base import Topology, bfs_distance, bfs_distances_from
 from .binary_tree_net import CompleteBinaryTreeNet
 from .butterfly import Butterfly
@@ -43,6 +45,27 @@ TOPOLOGIES: dict[str, type[Topology]] = {
         UniversalGraph,
     )
 }
+
+
+def build_host(name: str, args: Sequence | Mapping = ()) -> Topology:
+    """The registered topology ``name`` built from its recipe ``args``.
+
+    ``args`` is positional (a :meth:`Topology.spec` / scenario ``args``
+    list) or keyword (an embedding file's named parameters).  Every wire
+    format builds its host here; a bad recipe raises :class:`ValueError`
+    naming the offending field.
+    """
+    try:
+        cls = TOPOLOGIES[name]
+    except (KeyError, TypeError):
+        raise ValueError(
+            f"host.name: unknown host topology {name!r}: "
+            f"expected one of {sorted(TOPOLOGIES)}"
+        ) from None
+    try:
+        return cls(**args) if isinstance(args, Mapping) else cls(*args)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"host.args: {exc}") from exc
 
 
 def registry_instances(scale: int = 3) -> dict[str, Topology]:
@@ -86,5 +109,6 @@ __all__ = [
     "ShuffleExchange",
     "DeBruijn",
     "TOPOLOGIES",
+    "build_host",
     "registry_instances",
 ]

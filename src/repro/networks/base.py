@@ -84,6 +84,36 @@ class Topology(ABC):
     #: preorder intervals instead of dense O(n²) next-hop tables.
     is_tree: bool = False
 
+    #: the constructor recipe: its parameter names, in order, each also an
+    #: instance attribute holding the value the host was built with.
+    #: ``None`` marks a host no wire format can rebuild (e.g. a guest tree).
+    params: tuple[str, ...] | None = None
+
+    # ------------------------------------------------------------------
+    # Constructor recipe (the one wire form of a host)
+    # ------------------------------------------------------------------
+    @property
+    def spec_args(self) -> tuple:
+        """Constructor arguments that rebuild this host.
+
+        Trailing arguments equal to their defaults are dropped, so adding a
+        defaulted parameter keeps every existing recipe's shape.
+        """
+        if self.params is None:
+            raise TypeError(f"host {self.name!r} declares no constructor recipe")
+        args = [getattr(self, p) for p in self.params]
+        defaults = type(self).__init__.__defaults__ or ()
+        # __defaults__ covers the last len(defaults) parameters
+        first = len(args) - len(defaults)
+        while len(args) > first and args[-1] == defaults[len(args) - 1 - first]:
+            args.pop()
+        return tuple(args)
+
+    def spec(self) -> dict:
+        """``{"name", "args"}`` recipe, inverted by
+        :func:`repro.networks.build_host`."""
+        return {"name": self.name, "args": list(self.spec_args)}
+
     # ------------------------------------------------------------------
     # Core abstract surface
     # ------------------------------------------------------------------

@@ -23,6 +23,7 @@ class CompleteBinaryTreeNet(Topology):
     """The complete binary tree of height ``r`` with X-tree style addresses."""
 
     name = "complete-binary-tree"
+    params = ("height",)
     is_tree = True
 
     def __init__(self, height: int):

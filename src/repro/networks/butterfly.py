@@ -26,6 +26,7 @@ class Butterfly(Topology):
     """The unwrapped butterfly of dimension ``d`` (``(d+1) * 2**d`` nodes)."""
 
     name = "butterfly"
+    params = ("dimension",)
 
     def __init__(self, dimension: int):
         if dimension < 1:

@@ -29,6 +29,7 @@ class CubeConnectedCycles(Topology):
     """The cube-connected cycles network of dimension ``d`` (``d >= 1``)."""
 
     name = "ccc"
+    params = ("dimension",)
 
     def __init__(self, dimension: int):
         if dimension < 1:

@@ -21,6 +21,7 @@ class Grid2D(Topology):
     """An ``rows x cols`` mesh with Manhattan closed-form distances."""
 
     name = "grid2d"
+    params = ("rows", "cols")
 
     def __init__(self, rows: int, cols: int):
         if rows < 1 or cols < 1:

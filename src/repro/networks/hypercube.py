@@ -29,6 +29,7 @@ class Hypercube(Topology):
     """The ``d``-dimensional binary hypercube Q_d."""
 
     name = "hypercube"
+    params = ("dimension",)
 
     def __init__(self, dimension: int):
         if dimension < 0:

@@ -26,6 +26,7 @@ class ShuffleExchange(Topology):
     """The shuffle-exchange network on ``2**d`` nodes (``d >= 1``)."""
 
     name = "shuffle-exchange"
+    params = ("dimension",)
 
     def __init__(self, dimension: int):
         if dimension < 1:
@@ -114,6 +115,7 @@ class DeBruijn(Topology):
     """The binary de Bruijn graph on ``2**d`` nodes (``d >= 1``)."""
 
     name = "debruijn"
+    params = ("dimension",)
 
     def __init__(self, dimension: int):
         if dimension < 1:

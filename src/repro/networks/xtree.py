@@ -91,6 +91,7 @@ class XTree(Topology):
     """The X-tree X(r): complete binary tree plus per-level cross edges."""
 
     name = "xtree"
+    params = ("height",)
 
     def __init__(self, height: int):
         if height < 0:

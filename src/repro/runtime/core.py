@@ -40,13 +40,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from .._util import node_from_json, node_to_json
-from ..networks import TOPOLOGIES
+from .._util import atomic_write_text, node_from_json, node_to_json
+from ..networks import build_host
 from ..obs import Recorder
 from ..simulate.engine import Message, SynchronousNetwork
 from ..simulate.faults import FaultEvent, FaultSchedule, repair_embedding
 from ..simulate.integrity import Integrity
-from ..simulate.routing import AdaptiveRouter, Router, make_router
+from ..simulate.routing import Router, router_from_spec
 from .jobs import Job, JobSpec
 from .policies import SchedulerPolicy, make_policy
 
@@ -117,23 +117,6 @@ class RuntimeResult:
                 + (f", {len(j['failed'])} failed" if j["failed"] else "")
             )
         return "\n".join(lines)
-
-
-def _host_spec(host) -> dict:
-    """Constructor recipe for a registered topology (for checkpoints)."""
-    if hasattr(host, "spec_args"):
-        args = list(host.spec_args)
-    elif hasattr(host, "rows"):
-        args = [host.rows, host.cols]
-    elif hasattr(host, "height"):
-        args = [host.height]
-    elif hasattr(host, "dimension"):
-        args = [host.dimension]
-    else:
-        raise TypeError(
-            f"cannot checkpoint host {host.name!r}: unknown constructor shape"
-        )
-    return {"name": host.name, "args": args}
 
 
 def _policy_spec(policy: SchedulerPolicy) -> "str | dict":
@@ -395,9 +378,6 @@ class Runtime:
     def _observing(self) -> bool:
         return self.recorder is not None and self.recorder.enabled
 
-    def _fault_mode(self, job: Job) -> bool:
-        return self.faults is not None or job.spec.ttl is not None
-
     def _deliver(self, job: Job, messages: list[Message], label):
         """One delivery on the shared network, on the global clock.
 
@@ -572,7 +552,7 @@ class Runtime:
             "engine": self.engine,
             "counters": dict(sorted(self.counters.items())),
             "policy": _policy_spec(self.policy),
-            "host": _host_spec(self.host),
+            "host": self.host.spec(),
             "router": self.network.router.spec(),
             "faults": None if self.faults is None else self.faults.to_obj(),
             "applied_events": [e.as_dict() for e in self.applied_events],
@@ -588,7 +568,10 @@ class Runtime:
         return cp
 
     def checkpoint_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.checkpoint(), indent=2) + "\n")
+        """Write :meth:`checkpoint` to ``path`` atomically (tmp + rename):
+        a process killed mid-write leaves the old file or the new one,
+        never a torn checkpoint for the resume path to read."""
+        atomic_write_text(path, json.dumps(self.checkpoint(), indent=2) + "\n")
 
     @classmethod
     def restore(cls, state: dict, *, recorder: Recorder | None = None) -> "Runtime":
@@ -607,24 +590,8 @@ class Runtime:
                 f"unsupported checkpoint version {version!r} "
                 f"(this build reads {CHECKPOINT_VERSION})"
             )
-        spec = state["host"]
-        try:
-            topo_cls = TOPOLOGIES[spec["name"]]
-        except KeyError:
-            raise ValueError(f"unknown host topology {spec['name']!r}") from None
-        host = topo_cls(*spec["args"])
-        rspec = state["router"]
-        if rspec["name"] == "tree":
-            from ..policy import PolicyDoc
-            from ..policy.route import TreeRouter
-
-            router: Router = TreeRouter(
-                PolicyDoc.from_obj(rspec["doc"]), **rspec["params"]
-            )
-        elif rspec["name"] == "adaptive":
-            router = AdaptiveRouter(**rspec["params"])
-        else:
-            router = make_router(rspec["name"])
+        host = build_host(state["host"]["name"], state["host"]["args"])
+        router = router_from_spec(state["router"])
         faults = (
             None if state["faults"] is None else FaultSchedule.from_obj(state["faults"])
         )
@@ -649,7 +616,6 @@ class Runtime:
         integrity = state.get("integrity")
         if integrity:
             Integrity.of(rt.network).load_state(integrity)
-        rt.network.router.load_state(rspec["state"])
         rt.cycle = state["cycle"]
         rt.dead_nodes = {node_from_json(n) for n in state["dead_nodes"]}
         for jstate in state["jobs"]:

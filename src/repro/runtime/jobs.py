@@ -243,9 +243,13 @@ class Job:
 
     @classmethod
     def from_state(cls, state: dict, host) -> "Job":
-        job = cls(JobSpec.from_obj(state["spec"]), host)
+        spec = JobSpec.from_obj(state["spec"])
         phi = {g: node_from_json(h) for g, h in state["phi"]}
-        job.embedding = Embedding(job.embedding.guest, host, phi)
+        # phi covers the guest the embedder padded to the host's slot count;
+        # padding is deterministic, so the tree is rebuilt without re-running
+        # the Theorem 1 construction whose placement phi replaces anyway
+        tree = make_tree(spec.tree_family, spec.tree_n, seed=spec.tree_seed)
+        job = cls(spec, host, embedding=Embedding(tree.padded_to(len(phi)), host, phi))
         job.status = state["status"]
         job.next_step = state["next_step"]
         job.msg_seq = state["msg_seq"]

@@ -53,7 +53,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..networks import TOPOLOGIES
+from ..networks import build_host
 from ..policy.dsl import PolicyDoc
 from ..runtime import AdmissionError, Job, JobSpec, Runtime, RuntimeResult
 from ..runtime.policies import make_policy
@@ -97,17 +97,9 @@ class Scenario:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("scenario needs a non-empty name")
-        if self.host_name not in TOPOLOGIES:
-            raise ValueError(
-                f"unknown host topology {self.host_name!r}: "
-                f"expected one of {sorted(TOPOLOGIES)}"
-            )
         # every registry constructor is cheap, so building the host here
         # rejects bad args at submission instead of on a worker
-        try:
-            TOPOLOGIES[self.host_name](*self.host_args)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"host.args: {exc}") from exc
+        build_host(self.host_name, self.host_args)
         if not self.jobs:
             raise ValueError(f"scenario {self.name!r} has no jobs")
         # inline documents are validated (and canonicalised) via PolicyDoc
@@ -239,9 +231,8 @@ class Scenario:
     def build_runtime(self, *, recorder=None) -> Runtime:
         """Instantiate the runtime and admit every job (admission order =
         document order, which fixes the schedule deterministically)."""
-        host = TOPOLOGIES[self.host_name](*self.host_args)
         rt = Runtime(
-            host,
+            build_host(self.host_name, self.host_args),
             router=self.router,
             faults=self.faults,
             recorder=recorder,
@@ -253,14 +244,6 @@ class Scenario:
         for spec in self.jobs:
             rt.admit(spec)
         return rt
-
-
-def _atomic_checkpoint(rt: Runtime, path: Path) -> None:
-    """Checkpoint via tmp + rename: a SIGKILL mid-write must never leave a
-    truncated checkpoint behind (the recovery path reads this file)."""
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(rt.checkpoint(), indent=2) + "\n")
-    tmp.replace(path)
 
 
 def _normalise_admissions(entries) -> list[tuple[int, JobSpec]]:
@@ -357,7 +340,7 @@ def drive_runtime(
             steps += 1
             if steps % checkpoint_every == 0:
                 if path is not None:
-                    _atomic_checkpoint(rt, path)
+                    rt.checkpoint_json(path)
                 if heartbeat is not None:
                     heartbeat()
                 _poll()
@@ -368,7 +351,7 @@ def drive_runtime(
         # idle with future arrivals: admit the earliest batch now
         pending = _admit_due(rt, pending, attempted, up_to=pending[0][0])
     if path is not None:
-        _atomic_checkpoint(rt, path)
+        rt.checkpoint_json(path)
     return rt.result()
 
 

@@ -42,7 +42,10 @@ from typing import Hashable
 from .._util import node_from_json as _j2n
 from .._util import node_to_json as _n2j
 
-__all__ = ["Router", "ShortestPathRouter", "AdaptiveRouter", "make_router", "ROUTERS"]
+__all__ = [
+    "Router", "ShortestPathRouter", "AdaptiveRouter", "make_router",
+    "router_from_spec", "ROUTERS",
+]
 
 Node = Hashable
 
@@ -428,3 +431,20 @@ def make_router(spec: "Router | str | dict | None") -> Router:
         f"router must be a Router, a name, a policy document, or None, "
         f"got {type(spec)!r}"
     )
+
+
+def router_from_spec(spec: dict) -> Router:
+    """Inverse of :meth:`Router.spec`: the router rebuilt with its recorded
+    parameters (and policy document) and its learned state loaded — what
+    a runtime checkpoint restores."""
+    if spec["name"] not in ROUTERS:
+        # deferred import: repro.policy registers "tree" and imports this module
+        from .. import policy  # noqa: F401
+    try:
+        cls = ROUTERS[spec["name"]]
+    except KeyError:
+        raise ValueError(f"unknown router {spec['name']!r}") from None
+    doc = (spec["doc"],) if "doc" in spec else ()
+    router = cls(*doc, **spec["params"])
+    router.load_state(spec["state"])
+    return router

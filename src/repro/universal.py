@@ -106,6 +106,7 @@ class UniversalGraph(Topology):
     """
 
     name = "universal"
+    params = ("t", "mode", "radius")
 
     def __init__(self, t: int, mode: str = "paper", radius: int = 3):
         if t < 5:
@@ -121,22 +122,6 @@ class UniversalGraph(Topology):
         assert self._n == universal_graph_size(t)
         self._related: dict[XAddr, frozenset[XAddr]] = {}
         self._quotient: list[list[int]] | None = None
-
-    @property
-    def spec_args(self) -> tuple:
-        """Constructor arguments for checkpoint/scenario host specs.
-
-        ``height`` is derived (``t - 5``), so the generic height-based
-        recipe in the runtime would rebuild the wrong graph; this names
-        the real recipe explicitly.  ``mode`` and ``radius`` are included
-        only when they differ from the defaults, so a paper-mode spec keeps
-        its historical ``(t,)`` shape.
-        """
-        if self.radius != 3:
-            return (self.t, self.mode, self.radius)
-        if self.mode != "paper":
-            return (self.t, self.mode)
-        return (self.t,)
 
     # ------------------------------------------------------------------
     def related(self, alpha: XAddr) -> frozenset[XAddr]:

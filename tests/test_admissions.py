@@ -98,6 +98,8 @@ class TestRuntimeCliAdmitAt:
     def _write_config(self, tmp_path):
         cfg = tmp_path / "jobs.json"
         cfg.write_text(json.dumps({
+            "version": 1,
+            "name": "seeded",
             "host": {"name": "xtree", "args": [3]},
             "jobs": BASE_DOC["jobs"],
         }))

@@ -92,7 +92,8 @@ class TestRuntimeExitCodes:
     def config(self, tmp_path, jobs, **extra):
         import json
 
-        doc = {"host": {"name": "xtree", "args": [4]}, "jobs": jobs}
+        doc = {"version": 1, "name": "cli-jobs",
+               "host": {"name": "xtree", "args": [4]}, "jobs": jobs}
         doc.update(extra)
         path = tmp_path / "jobs.json"
         path.write_text(json.dumps(doc))
@@ -141,6 +142,8 @@ class TestRuntimeExitCodes:
 
         cfg = tmp_path / "jobs.json"
         cfg.write_text(json.dumps({
+            "version": 1,
+            "name": "cli-degraded",
             "host": {"name": "xtree", "args": [3]},
             "jobs": [{"name": "a", "program": "neighbor_exchange",
                       "tree_n": 15, "capacity": 4, "height": 3}],
@@ -164,3 +167,29 @@ class TestRuntimeExitCodes:
         # resume from the finished checkpoint: still complete, still 0
         assert main(["runtime", cfg, "--checkpoint", str(ckpt)]) == 0
         assert "resumed from" in capsys.readouterr().out
+
+    def test_misspelt_config_key_exits_1_and_names_it(self, tmp_path, capsys):
+        # a typo'd knob must not silently run with the defaults
+        cfg = self.config(tmp_path, [
+            {"name": "a", "program": "reduction", "tree_n": 15,
+             "capacity": 4, "height": 4},
+        ], polcy="fair", max_lod=4)
+        assert main(["runtime", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "polcy" in err and "max_lod" in err
+
+    def test_flags_override_the_document_only_when_given(self, tmp_path, capsys):
+        jobs = [{"name": "a", "program": "reduction", "tree_n": 15,
+                 "capacity": 4, "height": 4}]
+        # the document's fault schedule runs unless --faults replaces it
+        dead_links = {"events": [
+            {"cycle": 1, "action": "fail_link", "u": [3, 0], "v": [4, 0]},
+            {"cycle": 1, "action": "fail_link", "u": [3, 0], "v": [4, 1]},
+            {"cycle": 1, "action": "fail_link", "u": [3, 0], "v": [3, 1]},
+            {"cycle": 1, "action": "fail_link", "u": [2, 0], "v": [3, 0]},
+        ]}
+        cfg = self.config(tmp_path, jobs, faults=dead_links)
+        none = self.faults(tmp_path, [])
+        assert main(["runtime", cfg, "--faults", none]) == 0
+        assert main(["runtime", cfg]) == 1
+        capsys.readouterr()

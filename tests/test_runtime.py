@@ -19,6 +19,7 @@ Covers the tentpole semantics end to end:
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -36,7 +37,10 @@ from repro.runtime import (
     make_policy,
 )
 from repro.simulate import FaultEvent, FaultSchedule, RepairError
+from repro.service import Scenario
 from repro.simulate.routing import AdaptiveRouter
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def two_job_runtime(policy="fair", faults=None, recorder=None, router=None,
@@ -373,6 +377,25 @@ class TestCheckpointRestore:
         restored = Runtime.restore_json(path)
         assert restored.run().as_dict() == two_job_runtime(
             faults=NODE_FAULT).run().as_dict()
+
+    @pytest.mark.parametrize("make", [
+        lambda: two_job_runtime(faults=NODE_FAULT),
+        lambda: Scenario.from_json(SCENARIOS / "universal_route.json").build_runtime(),
+    ], ids=["xtree", "universal"])
+    def test_restore_does_not_rerun_theorem1(self, make, monkeypatch):
+        # the checkpointed phi is the placement: restore rebuilds only the
+        # (padded) guest tree, never the Theorem 1 construction
+        full = make().run().as_dict()
+        rt = make()
+        for _ in range(4):
+            rt.step()
+        blob = json.dumps(rt.checkpoint())
+
+        def no_embedding(*args, **kwargs):
+            raise AssertionError("restore re-ran the Theorem 1 construction")
+
+        monkeypatch.setattr("repro.runtime.jobs.embed_binary_tree", no_embedding)
+        assert Runtime.restore(json.loads(blob)).run().as_dict() == full
 
     def test_restore_rejects_unknown_version(self):
         state = two_job_runtime().checkpoint()

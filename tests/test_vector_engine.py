@@ -257,7 +257,7 @@ class TestNextHopTables:
         the classic per-call neighbour scan, entry for entry."""
         for topology in TOPOS.values():
             oracle = DistanceOracle(topology)
-            matrix = oracle.next_hop_matrix()
+            matrix, _edge_id = oracle.next_hop_tables()
             nodes = list(topology.nodes())
             net = SynchronousNetwork(topology)
             net._dense_nh = False  # force the classic BFS-table scan
@@ -275,8 +275,8 @@ class TestNextHopTables:
 
     def test_matrix_memoised_and_frozen(self):
         oracle = DistanceOracle(TOPOS["hypercube"])
-        matrix = oracle.next_hop_matrix()
-        assert oracle.next_hop_matrix() is matrix
+        matrix, _edge_id = oracle.next_hop_tables()
+        assert oracle.next_hop_tables()[0] is matrix
         with pytest.raises(ValueError):
             matrix[0, 0] = 5
 
