@@ -34,20 +34,20 @@ one host processor:
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from .._util import atomic_write_text, node_from_json, node_to_json
+from .._util import node_from_json, node_to_json
 from ..networks import build_host
-from ..obs import Recorder
+from ..obs import Recorder, span
 from ..simulate.engine import Message, SynchronousNetwork
 from ..simulate.faults import FaultEvent, FaultSchedule, repair_embedding
 from ..simulate.integrity import Integrity
 from ..simulate.routing import Router, router_from_spec
 from .jobs import Job, JobSpec
+from .journal import CheckpointWriter, read_checkpoint
 from .policies import SchedulerPolicy, make_policy
 
 __all__ = ["Runtime", "RuntimeResult", "AdmissionError", "CHECKPOINT_VERSION"]
@@ -170,6 +170,7 @@ class Runtime:
         self.dead_nodes: set[Any] = set()
         #: every fault event actually applied, in order (for restore)
         self.applied_events: list[FaultEvent] = []
+        self._checkpoints = CheckpointWriter()
 
     # ------------------------------------------------------------------
     # Admission
@@ -568,10 +569,18 @@ class Runtime:
         return cp
 
     def checkpoint_json(self, path: str | Path) -> None:
-        """Write :meth:`checkpoint` to ``path`` atomically (tmp + rename):
-        a process killed mid-write leaves the old file or the new one,
-        never a torn checkpoint for the resume path to read."""
-        atomic_write_text(path, json.dumps(self.checkpoint(), indent=2) + "\n")
+        """Record :meth:`checkpoint` in the file at ``path``.
+
+        The file is a compact snapshot plus a CRC-framed journal of
+        deltas (:mod:`repro.runtime.journal`): this runtime's first write
+        is a fresh snapshot (tmp + rename), and later writes append the
+        diff against the previous checkpoint, until the journal outgrows
+        the snapshot or another writer has touched the file.  A process
+        killed mid-write leaves a file whose torn tail the resume path
+        drops.
+        """
+        with span("runtime.checkpoint"):
+            self._checkpoints.write(path, self.checkpoint())
 
     @classmethod
     def restore(cls, state: dict, *, recorder: Recorder | None = None) -> "Runtime":
@@ -626,4 +635,11 @@ class Runtime:
     def restore_json(
         cls, path: str | Path, *, recorder: Recorder | None = None
     ) -> "Runtime":
-        return cls.restore(json.loads(Path(path).read_text()), recorder=recorder)
+        """:meth:`restore` from a :meth:`checkpoint_json` file: its snapshot
+        plus every intact journal record.  Raises :class:`ValueError` on a
+        file that holds no checkpoint."""
+        state = read_checkpoint(path)
+        try:
+            return cls.restore(state, recorder=recorder)
+        except (LookupError, TypeError) as exc:
+            raise ValueError(f"malformed checkpoint: {exc!r}") from exc

@@ -183,6 +183,10 @@ class Job:
         #: from the fail-stop ``failed`` reasons
         self.n_corrupted = 0
         self.n_retransmits = 0
+        #: (embedding, its ``phi`` wire list): embeddings are frozen once
+        #: built and a repair replaces ``self.embedding``, so the list is
+        #: encoded once per embedding instance, not once per checkpoint
+        self._phi_wire: tuple[Embedding, list] | None = None
 
     # -- scheduling signals --------------------------------------------
     @property
@@ -217,23 +221,31 @@ class Job:
         )
 
     # -- checkpointing --------------------------------------------------
+    def _phi_json(self) -> list:
+        emb = self.embedding
+        if self._phi_wire is None or self._phi_wire[0] is not emb:
+            wire = [[g, node_to_json(h)] for g, h in sorted(emb.phi.items())]
+            self._phi_wire = (emb, wire)
+        return self._phi_wire[1]
+
     def state(self) -> dict:
+        """This job's checkpoint form.  ``phi`` is shared with later
+        states of the same embedding: read it, do not mutate it."""
+        # the per-message maps are the bulk of every checkpoint; sorting
+        # their int keys alone is several times cheaper than sorting items
+        delivered, endpoints = self.delivered, self.endpoints
         return {
             "spec": self.spec.as_dict(),
-            "phi": [
-                [g, node_to_json(h)] for g, h in sorted(self.embedding.phi.items())
-            ],
+            "phi": self._phi_json(),
             "status": self.status,
             "next_step": self.next_step,
             "msg_seq": self.msg_seq,
             "consumed_cycles": self.consumed_cycles,
             "virtual_time": self.virtual_time,
             "per_step_cycles": list(self.per_step_cycles),
-            "delivered": [[m, c] for m, c in sorted(self.delivered.items())],
+            "delivered": [[m, delivered[m]] for m in sorted(delivered)],
             "failed": [[m, r] for m, r in sorted(self.failed.items())],
-            "endpoints": [
-                [m, s, d, k] for m, (s, d, k) in sorted(self.endpoints.items())
-            ],
+            "endpoints": [[m, *endpoints[m]] for m in sorted(endpoints)],
             "n_reroutes": self.n_reroutes,
             "n_repairs": self.n_repairs,
             "n_migrated": self.n_migrated,

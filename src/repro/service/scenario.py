@@ -300,7 +300,7 @@ def drive_runtime(
     admissions=None,
     admission_poll=None,
 ) -> RuntimeResult:
-    """Step ``rt`` to a terminal state with periodic atomic checkpoints.
+    """Step ``rt`` to a terminal state with periodic checkpoints.
 
     The single stepping loop the whole service shares — the in-process
     reference (:func:`run_scenario`), the worker processes, and the CLI

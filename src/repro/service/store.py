@@ -6,7 +6,7 @@ Layout under one root directory::
       jobs/<job_id>/scenario.json    submitted document (verbatim)
       jobs/<job_id>/meta.json        status, shard, priority, attempts, pid
       jobs/<job_id>/result.json      RuntimeResult + exit_code (terminal)
-      jobs/<job_id>/checkpoint.json  periodic atomic Runtime checkpoint
+      jobs/<job_id>/checkpoint.json  Runtime checkpoint: snapshot + journal
       jobs/<job_id>/trace.jsonl      streamed JSONL trace (scenario.trace)
       queue/shard<k>/<marker>        empty marker files = the queue
       running/shard<k>/<marker>      marker moved here while claimed
@@ -15,10 +15,12 @@ Layout under one root directory::
 Coordination is *rename-only*: a worker claims a job by renaming its
 queue marker into ``running/`` (atomic on POSIX — exactly one claimant
 can win), completes it by deleting the marker, and the fleet requeues a
-dead worker's job by renaming the marker back.  All JSON writes go
-through tmp + ``os.replace``, so a SIGKILL at any instant leaves either
-the old file or the new file, never a torn one.  No locks, no daemons,
-no pickle.
+dead worker's job by renaming the marker back.  All JSON documents are
+written through tmp + ``os.replace``, so a SIGKILL at any instant leaves
+either the old file or the new file, never a torn one.  The checkpoint
+is a snapshot written the same way plus appended CRC-framed journal
+records (:mod:`repro.runtime.journal`); a record torn by a SIGKILL is
+dropped on restore.  No locks, no daemons, no pickle.
 
 Marker names sort the queue: ``p<999-priority>-s<seq>-<job_id>`` — higher
 priority first, then submission order (FIFO within a priority class).

@@ -4,13 +4,13 @@ Each worker owns at most one live :class:`~repro.runtime.Runtime` at a
 time.  The loop is deliberately crash-oblivious — all durable state lives
 in the :class:`~repro.service.store.Store`, so a worker may be SIGKILLed
 at any instant and the fleet's recovery pass will requeue its job, whose
-next runner resumes from the last atomic checkpoint:
+next runner resumes from the last checkpoint written in full:
 
 1. claim the highest-priority queued job (atomic rename),
 2. *restore* the runtime from ``jobs/<id>/checkpoint.json`` if one exists
    (this is the crash-recovery / migration path), else build it from the
    scenario document,
-3. drive it to a terminal state with periodic atomic checkpoints,
+3. drive it to a terminal state with periodic checkpoints,
 4. publish ``result.json`` and release the running marker.
 
 A scenario that ends *degraded* (incomplete jobs, dropped messages) is
