@@ -129,6 +129,28 @@ def _load_policy_doc(path):
         return None
 
 
+def _report_observations(args, recorder) -> bool:
+    """Write the ``--trace`` JSONL and print the ``--metrics`` report.
+
+    Returns False (after naming the error on stderr) when the trace file
+    cannot be written; the caller then exits 1.
+    """
+    if args.trace:
+        try:
+            recorder.to_jsonl(args.trace)
+        except OSError as exc:
+            print(f"error: cannot write trace to {args.trace}: {exc}", file=sys.stderr)
+            return False
+        print(f"wrote trace: {args.trace} ({len(recorder.events)} events, "
+              f"{len(recorder.cycles)} cycle samples)")
+    if args.metrics:
+        from .analysis.trace_report import metrics_report
+
+        print()
+        print(metrics_report(recorder))
+    return True
+
+
 def _cmd_simulate(args) -> int:
     from .obs import NullRecorder, TraceRecorder
 
@@ -203,19 +225,8 @@ def _cmd_simulate(args) -> int:
     if fault_mode:
         for name, report in reports:
             print(f"fault report [{name}]: {report}")
-    if args.trace:
-        try:
-            recorder.to_jsonl(args.trace)
-        except OSError as exc:
-            print(f"error: cannot write trace to {args.trace}: {exc}", file=sys.stderr)
-            return 1
-        print(f"wrote trace: {args.trace} ({len(recorder.events)} events, "
-              f"{len(recorder.cycles)} cycle samples)")
-    if args.metrics:
-        from .analysis.trace_report import metrics_report
-
-        print()
-        print(metrics_report(recorder))
+    if not _report_observations(args, recorder):
+        return 1
     if fault_mode and any(not rep.complete for _, rep in reports):
         return 1
     return 0
@@ -326,19 +337,8 @@ def _cmd_runtime(args) -> int:
                 f", {len(j['failed'])} failed messages" if j["failed"] else ""
             )
             print(f"incomplete job {j['name']!r}: {why}{extra}", file=sys.stderr)
-    if args.trace:
-        try:
-            recorder.to_jsonl(args.trace)
-        except OSError as exc:
-            print(f"error: cannot write trace to {args.trace}: {exc}", file=sys.stderr)
-            return 1
-        print(f"wrote trace: {args.trace} ({len(recorder.events)} events, "
-              f"{len(recorder.cycles)} cycle samples)")
-    if args.metrics:
-        from .analysis.trace_report import metrics_report
-
-        print()
-        print(metrics_report(recorder))
+    if not _report_observations(args, recorder):
+        return 1
     # exit contract (service workers and CI depend on it, matching
     # `simulate`): 0 = every job done with every message delivered;
     # 1 = degraded/incomplete (failed messages, exhausted budgets) or a

@@ -27,7 +27,7 @@ from typing import Any
 
 import numpy as np
 
-from ..networks.base import Topology, bfs_distances_from
+from ..networks.base import Topology
 from ..trees.binary_tree import BinaryTree
 
 __all__ = ["Embedding", "EmbeddingReport"]
@@ -78,7 +78,6 @@ class Embedding:
         self._edge_list = list(guest.edges())
         self._edge_nodes = np.asarray(self._edge_list, dtype=np.int64).reshape(-1, 2)
         self._edge_dils: np.ndarray | None = None
-        self._route_dist_cache: dict[Any, dict[Any, Any]] = {}
         self._link_load: Counter | None = None
 
     # ------------------------------------------------------------------
@@ -150,51 +149,30 @@ class Embedding:
     def link_load(self) -> Counter:
         """Guest edges routed through each host link (canonically ordered).
 
-        Routes are deterministic shortest paths (lexicographically smallest
-        next hop by host index), matching the simulator's router so that the
-        metric predicts simulated contention.  Keys are host node pairs
-        ``(a, b)`` with ``index(a) < index(b)``; the full Counter feeds the
-        analysis tables.  Embeddings are frozen, so both the per-destination
-        distance tables and the resulting Counter are memoised on the
-        instance — repeated congestion queries are O(1).
+        Each guest edge is routed by the simulator's own deterministic
+        shortest-path rule (:meth:`repro.simulate.SynchronousNetwork.route`,
+        smallest host index first), so the metric predicts simulated
+        contention.  Keys are host node pairs ``(a, b)`` with
+        ``index(a) < index(b)``; the full Counter feeds the analysis tables.
+        Embeddings are frozen, so the Counter is memoised on the instance —
+        repeated congestion queries are O(1).
         """
         if self._link_load is None:
+            from ..simulate import SynchronousNetwork  # deferred: simulate imports core
+
+            route = SynchronousNetwork(self.host).route
+            index = self.host.index
             link_use: Counter = Counter()
             for u, v in self.guest.edges():
-                a, b = self.phi[u], self.phi[v]
-                for x, y in self._route(a, b):
-                    key = (x, y) if self.host.index(x) < self.host.index(y) else (y, x)
-                    link_use[key] += 1
+                path = route(self.phi[u], self.phi[v])
+                for x, y in zip(path, path[1:]):
+                    link_use[(x, y) if index(x) < index(y) else (y, x)] += 1
             self._link_load = link_use
         return self._link_load
 
     def edge_congestion(self) -> int:
         """Max, over host links, of guest edges routed through that link."""
         return max(self.link_load().values(), default=0)
-
-    def _route(self, a: Any, b: Any) -> list[tuple[Any, Any]]:
-        """Deterministic shortest path from ``a`` to ``b`` as a link list.
-
-        Per-destination BFS tables are memoised on the instance (the
-        embedding never changes), so routing all guest edges costs one BFS
-        per distinct destination, ever.
-        """
-        if a == b:
-            return []
-        dist_to_b = self._route_dist_cache.get(b)
-        if dist_to_b is None:
-            dist_to_b = bfs_distances_from(self.host.neighbors, b)
-            self._route_dist_cache[b] = dist_to_b
-        links = []
-        cur = a
-        while cur != b:
-            nxt = min(
-                (w for w in self.host.neighbors(cur) if dist_to_b[w] == dist_to_b[cur] - 1),
-                key=self.host.index,
-            )
-            links.append((cur, nxt))
-            cur = nxt
-        return links
 
     # ------------------------------------------------------------------
     # Composition & reporting

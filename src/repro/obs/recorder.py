@@ -1,18 +1,47 @@
 """Trace recorders for the synchronous network engine.
 
-The engine (:meth:`repro.simulate.engine.SynchronousNetwork.deliver_scheduled`)
-emits two kinds of signals through a :class:`Recorder`:
+The engine (:meth:`repro.simulate.engine.SynchronousNetwork.deliver_scheduled`),
+the integrity protocol (:mod:`repro.simulate.integrity`) and the runtime
+(:class:`repro.runtime.Runtime`) emit two kinds of signals through a
+:class:`Recorder`:
 
-* **per-message lifecycle events** — ``inject`` (the message enters its
-  source's output queue), ``hop`` (it crosses a directed link), ``queued``
-  (link capacity forced it to wait a cycle), ``delivered`` (it reached its
-  destination); fault-tolerant deliveries add ``fault`` (a schedule event
-  was applied), ``reroute`` (a queued message's planned next hop died under
-  it) and ``dropped`` (TTL expiry, partition, or integrity-retry
-  exhaustion — the message will never be delivered); byzantine deliveries
-  add ``corrupt`` (a checksum mismatch was caught at the destination),
-  ``retransmit`` (the integrity protocol re-sent a message from source)
-  and ``quarantine`` (a link left or re-entered the route set);
+* **events**, each one call ``event(cycle, kind, msg_id, node, link_dst,
+  detail)``.  The kinds and the fields they fill (``msg_id`` is ``-1``
+  for network- and runtime-level events):
+
+  ==================  =======  ===========  ===========  ================================
+  kind                msg_id   node         link_dst     detail
+  ==================  =======  ===========  ===========  ================================
+  ``inject``          message  source       --           --
+  ``hop``             message  link source  link target  --
+  ``queued``          message  node         --           --
+  ``delivered``       message  destination  --           --
+  ``fault``           -1       u            v or None    ``fail_link`` / ``heal_link`` /
+                                                         ``fail_node`` / ``heal_node``
+  ``reroute``         message  node         --           --
+  ``dropped``         message  node         --           ``ttl`` / ``partitioned`` /
+                                                         ``integrity``
+  ``corrupt``         message  destination  --           --
+  ``retransmit``      message  source       --           ``attempt=N``
+  ``quarantine``      -1       u            v            ``quarantined`` / ``probe_heal``
+  ``repair``          -1       job name     --           ``moved=N``
+  ``migrate``         -1       job name     --           ``messages=N``
+  ``batch_fallback``  -1       --           --           ``<reason>;... n_active=N``
+  ==================  =======  ===========  ===========  ================================
+
+  ``inject`` — the message enters its source's output queue; ``hop`` —
+  it crosses a directed link; ``queued`` — link capacity (or a partition
+  a future event may heal) made it wait a cycle; ``delivered`` — it
+  reached its destination.  Fault-tolerant deliveries add ``fault`` (a
+  schedule event was applied), ``reroute`` (a queued message's planned
+  next hop died under it) and ``dropped`` (the message will never be
+  delivered).  Byzantine deliveries add ``corrupt`` (a checksum mismatch
+  was caught at the destination), ``retransmit`` (the integrity protocol
+  re-sent a message from source) and ``quarantine`` (a link left or
+  re-entered the route set).  The runtime adds ``repair`` (a job's
+  embedding was remapped off dead nodes), ``migrate`` (its stranded
+  messages are re-sent to their repaired images) and ``batch_fallback``
+  (a batch round degraded to per-job stepping);
 * **per-cycle samples** — queue occupancy per node, utilisation per
   directed link, and the number of in-flight messages, captured at the end
   of every active cycle.
@@ -65,25 +94,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceEvent:
-    """One lifecycle event of one message (or of the network itself).
+    """One event of one message, of the network, or of the runtime.
 
-    ``kind`` is one of ``inject`` / ``hop`` / ``queued`` / ``delivered`` /
-    ``fault`` / ``reroute`` / ``dropped`` / ``corrupt`` / ``retransmit`` /
-    ``quarantine`` / ``repair`` / ``migrate`` / ``batch_fallback`` (the
-    last three are runtime-level: ``node`` holds the job name for
-    ``repair``/``migrate``; ``batch_fallback`` carries the ``";"``-joined
-    reasons in ``detail``).  ``node`` is the location (for ``hop`` the link
-    *source*; ``link_dst`` then holds the other endpoint; for ``fault`` /
-    ``quarantine`` the pair names the affected link or node).  ``detail``
-    carries the fault action (``fail_link``, ...), the drop reason
-    (``ttl`` / ``partitioned`` / ``integrity``), the retransmit attempt
-    (``attempt=N``), or the quarantine transition (``quarantined`` /
-    ``probe_heal``).  ``fault`` and ``quarantine`` events are
-    network-level and use ``msg_id = -1``.  ``phase`` indexes into the
-    recorder's ``phases`` list (supersteps, when driven through
-    ``simulate_on_host``).
+    ``kind`` and the fields it fills are tabled in the module docstring.
+    ``node`` is the location (for ``hop`` the link *source*; ``link_dst``
+    then holds the other endpoint; for ``fault`` / ``quarantine`` the pair
+    names the affected link or node; for ``repair`` / ``migrate`` it holds
+    the job name).  Network- and runtime-level events use ``msg_id = -1``.
+    ``phase`` indexes into the recorder's ``phases`` list (supersteps,
+    when driven through ``simulate_on_host``).  Slotted: a traced run
+    builds one per event, and a frozen class without slots takes about
+    a third longer to construct.
     """
 
     cycle: int
@@ -139,10 +162,10 @@ class CycleSample:
 
 
 class Recorder:
-    """The hook protocol the engine drives (all hooks no-ops here).
+    """The hook protocol the engine and the runtime drive (no-ops here).
 
-    Subclasses set ``enabled = True`` to receive callbacks; the engine
-    skips every call site when the flag is false, so the protocol costs
+    Subclasses set ``enabled = True`` to receive callbacks; every call
+    site skips the call when the flag is false, so the protocol costs
     nothing unless someone is listening.
     """
 
@@ -151,72 +174,30 @@ class Recorder:
     def begin_phase(self, label: str) -> None:
         """A new logical phase starts (e.g. one BSP superstep)."""
 
-    def on_inject(self, cycle: int, msg) -> None:
-        """``msg`` entered its source node's output queue at ``cycle``."""
-
-    def on_hop(self, cycle: int, msg, node, hop) -> None:
-        """``msg`` crossed the directed link ``node -> hop`` during ``cycle``."""
-
-    def on_queued(self, cycle: int, msg, node) -> None:
-        """``msg`` waited at ``node`` this cycle (link capacity exhausted)."""
-
-    def on_delivered(self, cycle: int, msg, node) -> None:
-        """``msg`` arrived at its destination ``node`` at ``cycle``."""
+    def event(self, cycle: int, kind: str, msg_id: int = -1, node=None,
+              link_dst=None, detail: str | None = None) -> None:
+        """One event of ``kind`` at ``cycle``; the module docstring tables
+        the kinds and which of ``msg_id`` / ``node`` / ``link_dst`` /
+        ``detail`` each fills."""
 
     def on_cycle_end(self, cycle: int, queues, in_flight: int) -> None:
         """One active cycle finished; ``queues`` maps node -> deque."""
 
-    def on_fault(self, cycle: int, action: str, u, v) -> None:
-        """A fault-schedule event was applied at the ``cycle`` boundary.
-
-        ``action`` is one of ``fail_link`` / ``heal_link`` / ``fail_node``
-        / ``heal_node``; ``v`` is ``None`` for node events.
-        """
-
-    def on_reroute(self, cycle: int, msg, node) -> None:
-        """``msg``, queued at ``node``, lost its planned next hop to a
-        fault and will re-route against the updated tables."""
-
-    def on_dropped(self, cycle: int, msg, node, reason: str) -> None:
-        """``msg`` was dropped at ``node`` and will never be delivered;
-        ``reason`` is ``"ttl"``, ``"partitioned"``, or ``"integrity"``
-        (corrupted/lost past the retransmit budget — detected wrong data,
-        not silent loss)."""
-
-    def on_corrupt(self, cycle: int, msg, node) -> None:
-        """``msg`` arrived at its destination ``node`` with a checksum
-        mismatch: the delivery was refused and the integrity protocol
-        will retransmit (or fail it with reason ``"integrity"``)."""
-
-    def on_retransmit(self, cycle: int, msg, attempt: int) -> None:
-        """The integrity protocol scheduled retransmission ``attempt`` of
-        ``msg`` from its source, after exponential backoff."""
-
-    def on_quarantine(self, cycle: int, u, v, transition: str) -> None:
-        """Link ``{u, v}`` changed quarantine state: ``transition`` is
-        ``"quarantined"`` (corruption EWMA crossed the threshold; the link
-        left the route set) or ``"probe_heal"`` (the probe optimistically
-        readmitted it)."""
-
-    def on_repair(self, cycle: int, job: str, moved: dict) -> None:
-        """The runtime repaired ``job``'s embedding online at global
-        ``cycle``: ``moved`` maps each remapped guest node to its
-        ``(old host, new host)`` pair (see
-        :func:`repro.simulate.faults.repair_embedding`)."""
-
-    def on_migrate(self, cycle: int, job: str, msg_ids) -> None:
-        """Messages ``msg_ids`` of ``job``, stranded by a node death, are
-        being re-sent to their repaired images at global ``cycle``."""
-
-    def on_batch_fallback(self, cycle: int, reasons: str, n_active: int) -> None:
-        """A runtime batch round degraded to per-job stepping at global
-        ``cycle``; ``reasons`` is a ``";"``-joined list (``faults``,
-        ``recorder``, ``adaptive_router``, ``ttl``, ``single_job``,
-        ``link_overlap``) and ``n_active`` the runnable jobs that round."""
-
 
 class NullRecorder(Recorder):
     """The do-nothing default: ``enabled`` stays false."""
+
+
+#: summary keys past the always-present ones, as groups of
+#: ``(summary key, counts key)``; a group is reported only when one of its
+#: counts is non-zero, so fault-free traces keep their short header
+_OPTIONAL_SUMMARY = (
+    (("fault_events", "fault"), ("reroutes", "reroute"), ("messages_dropped", "dropped")),
+    (("corrupt_arrivals", "corrupt"), ("retransmits", "retransmit"),
+     ("quarantine_events", "quarantine")),
+    (("repairs", "repair"), ("messages_migrated", "migrated_messages")),
+    (("batch_fallbacks", "batch_fallback"),),
+)
 
 
 class TraceRecorder(Recorder):
@@ -242,17 +223,9 @@ class TraceRecorder(Recorder):
         self.events: list[TraceEvent] = []
         self.cycles: list[CycleSample] = []
         self.phases: list[str] = []
-        self.n_injected = 0
-        self.n_delivered = 0
-        self.n_dropped = 0
-        self.n_faults = 0
-        self.n_reroutes = 0
-        self.n_corrupted = 0
-        self.n_retransmits = 0
-        self.n_quarantines = 0
-        self.n_repairs = 0
-        self.n_migrated = 0
-        self.n_batch_fallbacks = 0
+        #: events per kind, plus ``"migrated_messages"`` (one ``migrate``
+        #: event re-sends a batch of messages); :meth:`summary` reads it
+        self.counts: Counter = Counter()
         self._phase = 0
         self._cycle_links: Counter = Counter()
         # incremental aggregates: identical in both modes, so summaries
@@ -287,85 +260,16 @@ class TraceRecorder(Recorder):
         self.phases.append(label)
         self._phase = len(self.phases) - 1
 
-    def _record_event(self, event: TraceEvent) -> None:
+    def event(self, cycle: int, kind: str, msg_id: int = -1, node=None,
+              link_dst=None, detail: str | None = None) -> None:
+        self.counts[kind] += 1
+        if kind == "hop":
+            self._cycle_links[(node, link_dst)] += 1
+        elif kind == "migrate":
+            self.counts["migrated_messages"] += int(detail.partition("=")[2])
         self._n_events += 1
-        if self._fh is not None:
-            self._buf.append(json.dumps(event.as_dict()))
-            if len(self._buf) >= self.flush_every:
-                self.flush()
-        else:
-            self.events.append(event)
-
-    def on_inject(self, cycle: int, msg) -> None:
-        self.n_injected += 1
-        self._record_event(TraceEvent(cycle, "inject", msg.msg_id, msg.src, phase=self._phase))
-
-    def on_hop(self, cycle: int, msg, node, hop) -> None:
-        self._cycle_links[(node, hop)] += 1
-        self._record_event(TraceEvent(cycle, "hop", msg.msg_id, node, hop, phase=self._phase))
-
-    def on_queued(self, cycle: int, msg, node) -> None:
-        self._record_event(TraceEvent(cycle, "queued", msg.msg_id, node, phase=self._phase))
-
-    def on_delivered(self, cycle: int, msg, node) -> None:
-        self.n_delivered += 1
-        self._record_event(TraceEvent(cycle, "delivered", msg.msg_id, node, phase=self._phase))
-
-    def on_fault(self, cycle: int, action: str, u, v) -> None:
-        self.n_faults += 1
-        self._record_event(
-            TraceEvent(cycle, "fault", -1, u, v, phase=self._phase, detail=action)
-        )
-
-    def on_reroute(self, cycle: int, msg, node) -> None:
-        self.n_reroutes += 1
-        self._record_event(TraceEvent(cycle, "reroute", msg.msg_id, node, phase=self._phase))
-
-    def on_dropped(self, cycle: int, msg, node, reason: str) -> None:
-        self.n_dropped += 1
-        self._record_event(
-            TraceEvent(cycle, "dropped", msg.msg_id, node, phase=self._phase, detail=reason)
-        )
-
-    def on_corrupt(self, cycle: int, msg, node) -> None:
-        self.n_corrupted += 1
-        self._record_event(TraceEvent(cycle, "corrupt", msg.msg_id, node, phase=self._phase))
-
-    def on_retransmit(self, cycle: int, msg, attempt: int) -> None:
-        self.n_retransmits += 1
-        self._record_event(
-            TraceEvent(cycle, "retransmit", msg.msg_id, msg.src, phase=self._phase,
-                       detail=f"attempt={attempt}")
-        )
-
-    def on_quarantine(self, cycle: int, u, v, transition: str) -> None:
-        self.n_quarantines += 1
-        self._record_event(
-            TraceEvent(cycle, "quarantine", -1, u, v, phase=self._phase,
-                       detail=transition)
-        )
-
-    def on_repair(self, cycle: int, job: str, moved: dict) -> None:
-        self.n_repairs += 1
-        self._record_event(
-            TraceEvent(cycle, "repair", -1, job, phase=self._phase,
-                       detail=f"moved={len(moved)}")
-        )
-
-    def on_migrate(self, cycle: int, job: str, msg_ids) -> None:
-        ids = list(msg_ids)
-        self.n_migrated += len(ids)
-        self._record_event(
-            TraceEvent(cycle, "migrate", -1, job, phase=self._phase,
-                       detail=f"messages={len(ids)}")
-        )
-
-    def on_batch_fallback(self, cycle: int, reasons: str, n_active: int) -> None:
-        self.n_batch_fallbacks += 1
-        self._record_event(
-            TraceEvent(cycle, "batch_fallback", -1, phase=self._phase,
-                       detail=f"{reasons} n_active={n_active}")
-        )
+        self._capture(TraceEvent(cycle, kind, msg_id, node, link_dst, self._phase, detail),
+                      self.events)
 
     def on_cycle_end(self, cycle: int, queues, in_flight: int) -> None:
         sample = CycleSample(
@@ -381,14 +285,18 @@ class TraceRecorder(Recorder):
         self._peak_in_flight = max(self._peak_in_flight, sample.in_flight)
         self._peak_queue = max(self._peak_queue, sample.max_queue)
         self._link_totals.update(sample.link_utilisation)
-        if self._fh is not None:
-            self._buf.append(json.dumps(sample.as_dict()))
-            if len(self._buf) >= self.flush_every:
-                self.flush()
-        else:
-            self.cycles.append(sample)
+        self._capture(sample, self.cycles)
 
     # -- streaming lifecycle -------------------------------------------
+    def _capture(self, record: TraceEvent | CycleSample, kept: list) -> None:
+        # in memory: append to ``kept``; streaming: buffer the JSONL line
+        if self._fh is None:
+            kept.append(record)
+            return
+        self._buf.append(json.dumps(record.as_dict()))
+        if len(self._buf) >= self.flush_every:
+            self.flush()
+
     def flush(self) -> None:
         """Write buffered records to the stream (no-op in-memory)."""
         if self._fh is not None and self._buf:
@@ -455,15 +363,15 @@ class TraceRecorder(Recorder):
 
     def summary(self) -> dict:
         """Headline numbers for the text renderer and the CLI."""
-        totals = self._link_totals
+        counts, totals = self.counts, self._link_totals
         busiest = max(totals.items(), key=lambda kv: kv[1], default=(None, 0))
         active = self._active_cycles
         out = {
             "events": self._n_events,
             "active_cycles": active,
             "n_phases": len(self.phases),
-            "messages_injected": self.n_injected,
-            "messages_delivered": self.n_delivered,
+            "messages_injected": counts["inject"],
+            "messages_delivered": counts["delivered"],
             "links_used": len(totals),
             "busiest_link": None if busiest[0] is None else f"{busiest[0][0]!r}->{busiest[0][1]!r}",
             "busiest_link_traffic": busiest[1],
@@ -471,19 +379,9 @@ class TraceRecorder(Recorder):
             "peak_queue": self._peak_queue,
             "mean_moves_per_cycle": round(self._moved / active, 3) if active else 0.0,
         }
-        if self.n_faults or self.n_dropped or self.n_reroutes:
-            out["fault_events"] = self.n_faults
-            out["reroutes"] = self.n_reroutes
-            out["messages_dropped"] = self.n_dropped
-        if self.n_corrupted or self.n_retransmits or self.n_quarantines:
-            out["corrupt_arrivals"] = self.n_corrupted
-            out["retransmits"] = self.n_retransmits
-            out["quarantine_events"] = self.n_quarantines
-        if self.n_repairs or self.n_migrated:
-            out["repairs"] = self.n_repairs
-            out["messages_migrated"] = self.n_migrated
-        if self.n_batch_fallbacks:
-            out["batch_fallbacks"] = self.n_batch_fallbacks
+        for group in _OPTIONAL_SUMMARY:
+            if any(counts[key] for _, key in group):
+                out.update((name, counts[key]) for name, key in group)
         return out
 
     # -- export --------------------------------------------------------

@@ -21,7 +21,7 @@ one host processor:
   :func:`~repro.simulate.faults.repair_embedding` *mid-run* (passing the
   other tenants' loads as ``extra_load`` so the repair never breaches
   ``max_load`` network-wide), migrates the stranded messages to the
-  remapped hosts, and continues — emitting ``on_repair`` / ``on_migrate``
+  remapped hosts, and continues — emitting ``repair`` / ``migrate``
   trace events.  Latency faults (slow links) never trigger repair: a
   slow link delivers, just late.
 * **Checkpoint / resume** — :meth:`Runtime.checkpoint` captures the whole
@@ -359,7 +359,8 @@ class Runtime:
         for reason in reasons:
             self.counters[f"batch_fallback.{reason}"] += 1
         if self._observing():
-            self.recorder.on_batch_fallback(self.cycle, ";".join(reasons), n_active)
+            self.recorder.event(self.cycle, "batch_fallback",
+                                detail=f"{';'.join(reasons)} n_active={n_active}")
         job = self.step()
         return [job] if job is not None else []
 
@@ -449,7 +450,8 @@ class Runtime:
         job.embedding = result.embedding
         job.n_repairs += 1
         if self._observing():
-            self.recorder.on_repair(self.cycle, job.spec.name, result.moved)
+            self.recorder.event(self.cycle, "repair", node=job.spec.name,
+                                detail=f"moved={len(result.moved)}")
 
     def _migrate(self, job: Job, stranded: list[int]) -> None:
         """Re-send stranded messages through the repaired embedding.
@@ -468,7 +470,8 @@ class Runtime:
                 messages.append(Message(mid, phi[src], phi[dst]))
             job.n_migrated += len(stranded)
             if self._observing():
-                self.recorder.on_migrate(self.cycle, job.spec.name, stranded)
+                self.recorder.event(self.cycle, "migrate", node=job.spec.name,
+                                    detail=f"messages={len(stranded)}")
             stats = self._deliver(job, messages, "migrate")
             stranded = self._collect_failures(job, stats)
 

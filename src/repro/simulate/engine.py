@@ -653,8 +653,8 @@ class SynchronousNetwork:
                 stats.delivery_cycle[m.msg_id] = inject
                 last_self = max(last_self, inject)
                 if rec is not None:
-                    rec.on_inject(inject, m)
-                    rec.on_delivered(inject, m, m.dst)
+                    rec.event(inject, "inject", m.msg_id, m.src)
+                    rec.event(inject, "delivered", m.msg_id, m.dst)
                 continue
             if integ is not None:
                 integ.stamp(m)
@@ -693,7 +693,7 @@ class SynchronousNetwork:
             if integ is not None:
                 integ.forget(m.msg_id)
             if rec is not None:
-                rec.on_dropped(cycle, m, at, reason)
+                rec.event(cycle, "dropped", m.msg_id, at, detail=reason)
 
         def reject(m: Message, at: Node, cycle: int) -> None:
             # corrupted at arrival or lost in transit: resend from source,
@@ -710,7 +710,7 @@ class SynchronousNetwork:
                     del planned[mid]
                     stats.n_reroutes += 1
                     if rec is not None:
-                        rec.on_reroute(cycle, msg, at)
+                        rec.event(cycle, "reroute", msg.msg_id, at)
 
         self._delivering = True
         try:
@@ -727,7 +727,7 @@ class SynchronousNetwork:
                         if ttl is not None:
                             inject_at[m.msg_id] = cycle
                         if rec is not None:
-                            rec.on_inject(cycle, m)
+                            rec.event(cycle, "inject", m.msg_id, m.src)
                 cycle += 1
                 while fi < n_fev and fev[fi].cycle - fault_offset <= cycle:
                     ev = fev[fi]
@@ -735,7 +735,7 @@ class SynchronousNetwork:
                     newly_failed = self.apply_fault(ev)
                     stats.faults_applied.append(ev)
                     if rec is not None:
-                        rec.on_fault(cycle, ev.action, ev.u, ev.v)
+                        rec.event(cycle, "fault", -1, ev.u, ev.v, ev.action)
                     if newly_failed and planned:
                         reroute({frozenset(l) for l in newly_failed}, cycle)
                 if integ is not None:
@@ -790,7 +790,7 @@ class SynchronousNetwork:
                                 planned.pop(m.msg_id, None)
                                 kept.append((s, m))
                                 if rec is not None:
-                                    rec.on_queued(cycle, m, node)
+                                    rec.event(cycle, "queued", m.msg_id, node)
                             else:
                                 drop(m, node, "partitioned", cycle)
                             continue
@@ -799,7 +799,7 @@ class SynchronousNetwork:
                             if fault_mode:
                                 planned[m.msg_id] = (node, hop, m)
                             if rec is not None:
-                                rec.on_queued(cycle, m, node)
+                                rec.event(cycle, "queued", m.msg_id, node)
                             continue
                         sent_per_link[hop] += 1
                         key = (node, hop)
@@ -811,7 +811,7 @@ class SynchronousNetwork:
                         if planned:
                             planned.pop(m.msg_id, None)
                         if rec is not None:
-                            rec.on_hop(cycle, m, node, hop)
+                            rec.event(cycle, "hop", m.msg_id, node, hop)
                         if lost:
                             reject(m, hop, cycle)
                             continue
@@ -842,7 +842,7 @@ class SynchronousNetwork:
                             delivery_cycle[m.msg_id] = cycle
                             in_network -= 1
                             if rec is not None:
-                                rec.on_delivered(cycle, m, node)
+                                rec.event(cycle, "delivered", m.msg_id, node)
                 # keep FIFO fairness stable: re-sort merged queues by sequence
                 for node in arrivals:
                     if queues[node]:

@@ -252,7 +252,7 @@ class Integrity:
                 u, v = sorted(link, key=index)
                 self.network._bring_up(u, v)
                 if self.rec is not None:
-                    self.rec.on_quarantine(cycle, u, v, "probe_heal")
+                    self.rec.event(cycle, "quarantine", -1, u, v, "probe_heal")
         retrans = self._retrans
         if not retrans or min(retrans) > cycle:
             return []
@@ -300,7 +300,7 @@ class Integrity:
             # NACK: never deliver wrong data
             self.stats.n_corrupted += 1
             if self.rec is not None:
-                self.rec.on_corrupt(cycle, m, node)
+                self.rec.event(cycle, "corrupt", m.msg_id, node)
             return False
         if w != self._orig[mid]:
             # corrupted AND the checksum collided: wrong data delivered
@@ -322,7 +322,8 @@ class Integrity:
         back = min(1 << (attempt - 1), RETRANSMIT_BACKOFF_CAP)
         self._retrans.setdefault(cycle + back, []).append(m)
         if self.rec is not None:
-            self.rec.on_retransmit(cycle, m, attempt)
+            self.rec.event(cycle, "retransmit", m.msg_id, m.src,
+                           detail=f"attempt={attempt}")
         return True
 
     def quarantine(self, cycle: int):
@@ -338,7 +339,7 @@ class Integrity:
             self.ewma.pop(link, None)
             self.stats.n_quarantined += 1
             if self.rec is not None:
-                self.rec.on_quarantine(cycle, u, v, "quarantined")
+                self.rec.event(cycle, "quarantine", -1, u, v, "quarantined")
             yield link
         self._to_quarantine.clear()
 

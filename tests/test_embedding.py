@@ -2,10 +2,20 @@
 
 from __future__ import annotations
 
+import random
+from collections import Counter
+
 import pytest
 
+from repro import theorem1_embedding, theorem1_guest_size
 from repro.core import Embedding
-from repro.networks import CompleteBinaryTreeNet, Hypercube, XTree
+from repro.networks import (
+    CompleteBinaryTreeNet,
+    Hypercube,
+    XTree,
+    bfs_distances_from,
+    registry_instances,
+)
 from repro.trees import BinaryTree, complete_binary_tree, make_tree
 
 
@@ -116,6 +126,54 @@ class TestCongestion:
         host = CompleteBinaryTreeNet(2)
         emb = Embedding(tree, host, {v: host.node_at(v) for v in tree.nodes()})
         assert emb.link_load() is emb.link_load()
+
+
+def bfs_link_load(emb: Embedding) -> Counter:
+    """Congestion routed independently of the simulator: per-destination
+    BFS, then the smallest-index neighbour one step closer, hop by hop."""
+    host, dist_to = emb.host, {}
+    load: Counter = Counter()
+    for u, v in emb.guest.edges():
+        cur, dst = emb.phi[u], emb.phi[v]
+        if dst not in dist_to:
+            dist_to[dst] = bfs_distances_from(host.neighbors, dst)
+        dist = dist_to[dst]
+        while cur != dst:
+            nxt = min(
+                (w for w in host.neighbors(cur) if dist[w] == dist[cur] - 1),
+                key=host.index,
+            )
+            load[(cur, nxt) if host.index(cur) < host.index(nxt) else (nxt, cur)] += 1
+            cur = nxt
+    return load
+
+
+def _theorem1(family: str) -> Embedding:
+    return theorem1_embedding(make_tree(family, theorem1_guest_size(4), seed=7)).embedding
+
+
+def _random_placement(name: str) -> Embedding:
+    host = registry_instances()[name]
+    tree = make_tree("random", 2 * host.n_nodes, seed=11)
+    nodes, rng = list(host.nodes()), random.Random(name)
+    return Embedding(tree, host, {v: rng.choice(nodes) for v in tree.nodes()})
+
+
+LINK_LOAD_CASES = [
+    pytest.param(lambda f=f: _theorem1(f), id=f"theorem1-{f}-r4")
+    for f in ("random", "path", "broom")
+] + [
+    pytest.param(lambda h=h: _random_placement(h), id=f"random-into-{h}")
+    for h in registry_instances()
+]
+
+
+@pytest.mark.parametrize("build", LINK_LOAD_CASES)
+def test_link_load_matches_bfs_routing(build):
+    emb = build()
+    load = emb.link_load()
+    assert load == bfs_link_load(emb)
+    assert sum(load.values()) == sum(emb.edge_dilations().values())
 
 
 class TestCompose:

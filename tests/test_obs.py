@@ -138,7 +138,8 @@ class TestTraceRecorderInvariants:
 
         assert rec.link_utilisation_totals() == stats.link_traffic
         assert rec.delivery_cycles() == stats.delivery_cycle
-        assert rec.n_injected == rec.n_delivered == len(schedule)
+        s = rec.summary()
+        assert s["messages_injected"] == s["messages_delivered"] == len(schedule)
         if rec.cycles:
             assert rec.cycles[-1].in_flight == 0
             # samples are end-of-cycle, stats.max_queue is start-of-cycle:
